@@ -115,6 +115,12 @@ pub fn standard_suite() -> Result<epa_core::engine::Suite, epa_core::engine::Spe
 pub fn standard_suite_with_options(
     options: epa_core::campaign::CampaignOptions,
 ) -> Result<epa_core::engine::Suite, epa_core::engine::SpecError> {
-    let engine = epa_core::engine::Engine::new().with_options(options);
-    engine.suite_of(standard_apps())
+    let mut suite = epa_core::engine::Suite::new();
+    for (app, spec) in standard_apps() {
+        suite.register_session(
+            app,
+            epa_core::engine::Session::new(&spec)?.with_options(options.clone()),
+        );
+    }
+    Ok(suite)
 }

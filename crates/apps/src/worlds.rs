@@ -4,8 +4,9 @@
 //! module exports a [`WorldSpec`] (`epa_apps::lpr::spec()`, …) composed
 //! from the shared base builders in this module, and campaigns consume the
 //! specs through `epa_core::engine::{Session, Suite}`. The `*_world()`
-//! functions remain as thin materializing shims for the pre-engine
-//! [`TestSetup`]-based API; they build byte-identical worlds.
+//! functions materialize the same specs into a [`TestSetup`] for callers
+//! that need the setup itself: single runs (`epa_core::campaign::run_once`)
+//! and sessions frozen from an edited setup (`Session::from_setup`).
 
 use epa_core::campaign::TestSetup;
 use epa_core::engine::{ScenarioBuilder, WorldSpec};

@@ -36,7 +36,7 @@ fn main() {
     }
 
     // The differential sweep, timed end to end (synthesis is re-done inside
-    // run_corpus; it is noise next to the 8-path execution of each world).
+    // run_corpus; it is noise next to the multi-path execution of each world).
     let factory = ScriptedApp::factory();
     let sweep_start = Instant::now();
     let report = run_corpus(&config, &factory);

@@ -4,39 +4,21 @@
 //! the injection engine or the VFS resolver are visible. Beyond the
 //! criterion groups, `main` measures copy-on-write snapshot setup against
 //! the old deep-clone per-fault setup on the lpr-scale world and writes the
-//! result to `BENCH_engine.json` (the start of the perf trajectory; the
-//! engine redesign requires snapshot ≥ 2× faster than deep clone there),
-//! then measures the suite-wide pooled executor against the retired
-//! one-thread-per-application fan-out and writes `BENCH_executor.json`
-//! (the executor refactor requires pooled wall-clock ≤ the old fan-out and
-//! a worker ceiling of `available_parallelism`), and finally measures the
-//! incremental (audit-log-subscribed) oracle against the retired post-hoc
-//! batch scan over the standard suite's full injected workload and writes
-//! `BENCH_oracle.json` (the oracle redesign requires the incremental path
-//! to be no slower than the batch scan), and finally measures the
-//! dedup+memo planner against exhaustive re-execution over a two-pass
-//! suite workload and writes `BENCH_planner.json` (the planner must
-//! execute strictly fewer runs with a byte-identical verdict set).
+//! result to `BENCH_engine.json` (the engine redesign requires snapshot ≥
+//! 2× faster than deep clone there), then measures the dedup+memo planner
+//! against exhaustive re-execution over a two-pass suite workload and
+//! writes `BENCH_planner.json` (the planner must execute strictly fewer
+//! runs with a byte-identical verdict set).
 
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, BatchSize, Criterion};
 
 use epa_apps::{worlds, Lpr, Turnin};
-use epa_core::campaign::{run_once, run_once_batch_oracle, CampaignOptions, TestSetup};
-use epa_core::engine::{executor, Session};
-use epa_core::inject::InjectionHook;
-use epa_sandbox::app::Application;
-use epa_sandbox::audit::AuditLog;
+use epa_core::campaign::{run_once, CampaignOptions};
+use epa_core::engine::Session;
 use epa_sandbox::cred::{Credentials, Gid, Uid};
 use epa_sandbox::mode::Mode;
-use epa_sandbox::os::Os;
-use epa_sandbox::policy::detectors::{
-    CustomDetector, DisclosureDetector, IntegrityDeleteDetector, IntegrityWriteDetector, MemoryCorruptionDetector,
-    SpoofedActionDetector, TaintedPrivilegedOpDetector, UntrustedExecDetector,
-};
-use epa_sandbox::policy::OracleSet;
-use epa_sandbox::syscall::Interceptor;
 
 fn bench_campaigns(c: &mut Criterion) {
     let mut g = c.benchmark_group("campaign");
@@ -45,13 +27,6 @@ fn bench_campaigns(c: &mut Criterion) {
     g.bench_function("lpr_full_campaign", |b| b.iter(|| lpr.execute(&Lpr)));
     let turnin = Session::from_setup(worlds::turnin_world());
     g.bench_function("turnin_full_campaign", |b| b.iter(|| turnin.execute(&Turnin)));
-    let turnin_parallel = turnin.clone().with_options(CampaignOptions {
-        parallel: true,
-        ..Default::default()
-    });
-    g.bench_function("turnin_full_campaign_parallel", |b| {
-        b.iter(|| turnin_parallel.execute(&Turnin));
-    });
     let suite = epa_apps::standard_suite().expect("valid specs");
     g.bench_function("standard_suite_all_eight_apps", |b| b.iter(|| suite.execute()));
     g.finish();
@@ -156,333 +131,6 @@ fn emit_bench_json() {
     assert!(
         speedup >= 2.0,
         "copy-on-write snapshot setup must beat deep clone by >= 2x on the lpr world, got {speedup:.2}x"
-    );
-}
-
-/// The pre-executor suite runner, reimplemented for comparison: one scoped
-/// thread per registered application, each running its whole campaign
-/// sequentially — `apps × campaign` threads regardless of the hardware.
-fn per_app_fanout(cases: &[(&dyn Application, Session)]) -> usize {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = cases
-            .iter()
-            .map(|(app, session)| scope.spawn(move || session.execute(*app).injected()))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("campaign thread")).sum()
-    })
-}
-
-/// Measures the suite-wide pooled executor against the retired per-app
-/// thread fan-out on the full eight-application suite, asserts the worker
-/// ceiling and the no-regression bound, and writes `BENCH_executor.json`.
-fn emit_executor_bench_json() {
-    let cases: Vec<(&dyn Application, Session)> = vec![
-        (&epa_apps::Lpr, Session::from_setup(worlds::lpr_world())),
-        (&epa_apps::Turnin, Session::from_setup(worlds::turnin_world())),
-        (&epa_apps::FontPurge, Session::from_setup(worlds::fontpurge_world())),
-        (&epa_apps::NtLogon, Session::from_setup(worlds::ntlogon_world())),
-        (&epa_apps::Fingerd, Session::from_setup(worlds::fingerd_world())),
-        (&epa_apps::Authd, Session::from_setup(worlds::authd_world())),
-        (&epa_apps::MailNotify, Session::from_setup(worlds::mailnotify_world())),
-        (&epa_apps::Backupd, Session::from_setup(worlds::backupd_world())),
-    ];
-    let suite = epa_apps::standard_suite().expect("valid specs");
-    let samples = 15;
-
-    executor::reset_peak_live_workers();
-    let mut pooled_injected = 0usize;
-    let pooled_ns = median_ns(samples, || {
-        pooled_injected = suite.execute().total_injected();
-    });
-    let available = std::thread::available_parallelism().map_or(4, std::num::NonZero::get);
-    let peak_workers = executor::peak_live_workers();
-    assert!(
-        peak_workers <= available,
-        "pooled suite must never exceed available_parallelism={available} workers, saw {peak_workers}"
-    );
-
-    let mut fanout_injected = 0usize;
-    let fanout_ns = median_ns(samples, || {
-        fanout_injected = per_app_fanout(&cases);
-    });
-    // Same workloads: both runners must inject the identical fault count.
-    assert_eq!(pooled_injected, fanout_injected);
-    let speedup = fanout_ns as f64 / pooled_ns.max(1) as f64;
-
-    // The default path above sizes the pool from `available_parallelism`;
-    // with one CPU that is the inline no-thread path and the high-water
-    // gauge legitimately reads 0. Re-run at pinned multi-worker counts so
-    // the gauge is exercised (and recorded non-zero) on any hardware.
-    let overridden: Vec<(usize, usize)> = [4usize, 8]
-        .iter()
-        .map(|&w| {
-            executor::reset_peak_live_workers();
-            let suite_w = epa_apps::standard_suite().expect("valid specs").with_workers(w);
-            assert_eq!(suite_w.execute().total_injected(), pooled_injected);
-            let peak = executor::peak_live_workers();
-            assert!(
-                (1..=w).contains(&peak),
-                "suite pinned to {w} workers must record a 1..={w} high-water, saw {peak}"
-            );
-            (w, peak)
-        })
-        .collect();
-    let overridden_json = overridden
-        .iter()
-        .map(|(w, peak)| format!("    {{\"workers\": {w}, \"peak_live_workers\": {peak}}}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-
-    let json = format!(
-        "{{\n  \"bench\": \"executor\",\n  \"suite_apps\": {},\n  \"samples\": {samples},\n  \
-         \"pooled_suite_ns\": {pooled_ns},\n  \"per_app_fanout_ns\": {fanout_ns},\n  \
-         \"fanout_over_pooled\": {speedup:.2},\n  \"available_parallelism\": {available},\n  \
-         \"peak_live_workers\": {peak_workers},\n  \"workers_override\": [\n{overridden_json}\n  ]\n}}\n",
-        cases.len()
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_executor.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!(
-            "wrote {} (pooled suite vs per-app fan-out: {speedup:.2}x, peak workers {peak_workers}/{available})",
-            path.display()
-        ),
-        Err(e) => eprintln!("BENCH_executor.json not written: {e}"),
-    }
-    // Medians on a machine with >= 8 cores can land near-equal (both paths
-    // then reach full parallelism); a 5% margin keeps scheduler noise from
-    // failing the no-regression gate without hiding a real slowdown.
-    assert!(
-        pooled_ns as f64 <= fanout_ns as f64 * 1.05,
-        "pooled suite wall-clock must not exceed the old per-app fan-out \
-         (pooled {pooled_ns}ns > fanout {fanout_ns}ns + 5% margin)"
-    );
-}
-
-/// Which oracle evaluation the driver times.
-#[derive(Clone, Copy, PartialEq)]
-enum OracleMode {
-    /// The production path: the set is subscribed to the audit log and
-    /// observes events as they are pushed ([`run_once`]).
-    Incremental,
-    /// The retired monolith's shape: the run executes unobserved, then one
-    /// fused pass over the completed log dispatches all rule families
-    /// ([`run_once_batch_oracle`] — what `PolicyEngine::evaluate` did).
-    BatchScan,
-    /// The fully decomposed post-hoc worst case: each rule family
-    /// independently re-scans the completed log — literal O(rules × events)
-    /// passes; reported for context, not gated on.
-    PerFamilyRescan,
-}
-
-/// Each rule family independently re-scans the completed log — see
-/// [`OracleMode::PerFamilyRescan`]. Standard families only: no standard
-/// suite world declares spec invariants (asserted against the fused scan
-/// below would otherwise undercount).
-fn per_family_rescan(log: &AuditLog) -> usize {
-    let families: [OracleSet; 8] = [
-        OracleSet::empty().with(Box::new(IntegrityWriteDetector::default())),
-        OracleSet::empty().with(Box::new(IntegrityDeleteDetector::default())),
-        OracleSet::empty().with(Box::new(DisclosureDetector::default())),
-        OracleSet::empty().with(Box::new(UntrustedExecDetector::default())),
-        OracleSet::empty().with(Box::new(TaintedPrivilegedOpDetector::default())),
-        OracleSet::empty().with(Box::new(SpoofedActionDetector::default())),
-        OracleSet::empty().with(Box::new(MemoryCorruptionDetector::default())),
-        OracleSet::empty().with(Box::new(CustomDetector::default())),
-    ];
-    families.into_iter().map(|set| set.evaluate_log(log).len()).sum()
-}
-
-/// One application run with no oracle attached (the retired engine's run
-/// phase; judgment happens afterwards in [`per_family_rescan`]).
-fn run_unjudged(setup: &TestSetup, app: &dyn Application, hook: Option<Box<dyn Interceptor>>) -> Os {
-    let mut os = setup.world.clone();
-    if let Some(h) = hook {
-        os.set_interceptor(h);
-    }
-    let Ok(pid) = os.spawn(
-        setup.invoker,
-        setup.program.as_deref(),
-        setup.args.clone(),
-        setup.env.clone(),
-        &setup.cwd,
-    ) else {
-        return os;
-    };
-    if let Ok(code) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| app.run(&mut os, pid))) {
-        os.set_exit(pid, code);
-    }
-    os
-}
-
-/// Runs the standard suite's whole injected workload — clean run plus every
-/// planned `(site, occurrence, fault)` job of every application — through
-/// the chosen oracle mode, returning the total verdict count.
-fn drive_oracle(
-    cases: &[(&dyn Application, Session, Vec<epa_core::inject::InjectionPlan>)],
-    mode: OracleMode,
-) -> usize {
-    let mut verdicts = 0usize;
-    for (app, session, jobs) in cases {
-        let hooks = std::iter::once(None).chain(
-            jobs.iter()
-                .map(|job| Some(Box::new(InjectionHook::new(job.clone()).0) as Box<dyn Interceptor>)),
-        );
-        for hook in hooks {
-            verdicts += match mode {
-                OracleMode::Incremental => run_once(session.setup(), *app, hook).violations.len(),
-                OracleMode::BatchScan => run_once_batch_oracle(session.setup(), *app, hook).violations.len(),
-                OracleMode::PerFamilyRescan => per_family_rescan(&run_unjudged(session.setup(), *app, hook).audit),
-            };
-        }
-    }
-    verdicts
-}
-
-/// Measures the incremental (subscription) oracle against the retired
-/// batch re-scan over the standard suite's full injected workload, asserts
-/// verdict-count equality and the no-regression bound, and writes
-/// `BENCH_oracle.json`.
-fn emit_oracle_bench_json() {
-    let cases: Vec<(&dyn Application, Session, Vec<epa_core::inject::InjectionPlan>)> = vec![
-        (&epa_apps::Lpr, Session::from_setup(worlds::lpr_world()), Vec::new()),
-        (
-            &epa_apps::Turnin,
-            Session::from_setup(worlds::turnin_world()),
-            Vec::new(),
-        ),
-        (
-            &epa_apps::FontPurge,
-            Session::from_setup(worlds::fontpurge_world()),
-            Vec::new(),
-        ),
-        (
-            &epa_apps::NtLogon,
-            Session::from_setup(worlds::ntlogon_world()),
-            Vec::new(),
-        ),
-        (
-            &epa_apps::Fingerd,
-            Session::from_setup(worlds::fingerd_world()),
-            Vec::new(),
-        ),
-        (&epa_apps::Authd, Session::from_setup(worlds::authd_world()), Vec::new()),
-        (
-            &epa_apps::MailNotify,
-            Session::from_setup(worlds::mailnotify_world()),
-            Vec::new(),
-        ),
-        (
-            &epa_apps::Backupd,
-            Session::from_setup(worlds::backupd_world()),
-            Vec::new(),
-        ),
-    ];
-    // Plan once, outside the timed region: both paths replay the identical
-    // job list, so the measurement isolates oracle evaluation + run cost.
-    let cases: Vec<_> = cases
-        .into_iter()
-        .map(|(app, session, _)| {
-            let jobs = session.plan(app).jobs();
-            (app, session, jobs)
-        })
-        .collect();
-    let samples = 15;
-
-    let mut incremental_verdicts = 0usize;
-    let incremental_ns = median_ns(samples, || {
-        incremental_verdicts = drive_oracle(&cases, OracleMode::Incremental);
-    });
-    let mut batch_verdicts = 0usize;
-    let batch_ns = median_ns(samples, || {
-        batch_verdicts = drive_oracle(&cases, OracleMode::BatchScan);
-    });
-    let rescan_ns = median_ns(samples, || {
-        drive_oracle(&cases, OracleMode::PerFamilyRescan);
-    });
-    // Same workload, same rules: both judged paths must report identical
-    // verdicts (the per-family rescan runs standard families only and is
-    // timed for context, not counted).
-    assert_eq!(incremental_verdicts, batch_verdicts);
-    let ratio = batch_ns as f64 / incremental_ns.max(1) as f64;
-    let rescan_ratio = rescan_ns as f64 / incremental_ns.max(1) as f64;
-
-    // Suite wall-clock is dominated by the application runs themselves, so
-    // the comparison above resolves "no regression", not the oracle itself.
-    // Amplify the oracle-only cost on one big log — the suite's combined
-    // event stream, replicated — where the single streamed pass (what the
-    // subscription does during the run) is measurably distinguishable from
-    // the retired O(rules × events) per-family re-scan.
-    let mut big = AuditLog::new();
-    while big.len() < 50_000 {
-        for (app, session, jobs) in &cases {
-            let os = run_unjudged(session.setup(), *app, None);
-            for (_, ev) in os.audit.iter() {
-                big.push(ev.clone());
-            }
-            if let Some(job) = jobs.first() {
-                let (hook, _) = InjectionHook::new(job.clone());
-                let os = run_unjudged(session.setup(), *app, Some(Box::new(hook)));
-                for (_, ev) in os.audit.iter() {
-                    big.push(ev.clone());
-                }
-            }
-        }
-    }
-    let mut stream_verdicts = 0usize;
-    let stream_ns = median_ns(samples, || {
-        let mut set = OracleSet::standard();
-        set.observe_log(&big);
-        stream_verdicts = set.finish().len();
-    });
-    let mut family_verdicts = 0usize;
-    let family_ns = median_ns(samples, || {
-        family_verdicts = per_family_rescan(&big);
-    });
-    assert_eq!(stream_verdicts, family_verdicts);
-    let oracle_ratio = family_ns as f64 / stream_ns.max(1) as f64;
-
-    let total_jobs: usize = cases.iter().map(|(_, _, jobs)| jobs.len() + 1).sum();
-    let json = format!(
-        "{{\n  \"bench\": \"oracle\",\n  \"suite_apps\": {},\n  \"runs_per_sample\": {total_jobs},\n  \
-         \"samples\": {samples},\n  \"incremental_ns\": {incremental_ns},\n  \"batch_scan_ns\": {batch_ns},\n  \
-         \"per_family_rescan_ns\": {rescan_ns},\n  \"batch_over_incremental\": {ratio:.2},\n  \
-         \"rescan_over_incremental\": {rescan_ratio:.2},\n  \"verdicts\": {incremental_verdicts},\n  \
-         \"oracle_only_events\": {},\n  \"oracle_single_pass_ns\": {stream_ns},\n  \
-         \"oracle_per_family_rescan_ns\": {family_ns},\n  \"per_family_over_single_pass\": {oracle_ratio:.2}\n}}\n",
-        cases.len(),
-        big.len()
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_oracle.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!(
-            "wrote {} (suite: batch/incremental {ratio:.2}x; oracle-only on {} events: \
-             per-family/single-pass {oracle_ratio:.2}x; {incremental_verdicts} verdicts)",
-            path.display(),
-            big.len()
-        ),
-        Err(e) => eprintln!("BENCH_oracle.json not written: {e}"),
-    }
-    // Two gates. (1) End to end, the subscription must not slow the suite
-    // down relative to the retired fused post-run scan. Oracle evaluation is
-    // noise next to the shared run cost, so the two arms are equal-cost by
-    // design (measured ~1.00x) — a 10% margin keeps scheduler jitter from
-    // failing the gate while still catching any real per-event overhead,
-    // which the oracle-only gate below bounds far more tightly.
-    assert!(
-        incremental_ns as f64 <= batch_ns as f64 * 1.10,
-        "incremental oracle must not be slower than the retired batch scan \
-         (incremental {incremental_ns}ns > batch {batch_ns}ns + 10% margin)"
-    );
-    // (2) At oracle-only granularity, the single streamed pass must beat
-    // the O(rules × events) per-family re-scan it replaced.
-    assert!(
-        stream_ns as f64 <= family_ns as f64 * 1.05,
-        "single-pass oracle must not be slower than the per-family re-scan \
-         (single {stream_ns}ns > per-family {family_ns}ns + 5% margin)"
     );
 }
 
@@ -609,14 +257,10 @@ criterion_group!(
 
 // A hand-rolled `main` instead of `criterion_main!`: the criterion groups
 // run first, then the snapshot-vs-deep-clone measurement is written to
-// BENCH_engine.json, the pooled-executor-vs-fanout measurement to
-// BENCH_executor.json, the incremental-vs-batch oracle measurement to
-// BENCH_oracle.json, and the dedup+memo planner measurement to
+// BENCH_engine.json and the dedup+memo planner measurement to
 // BENCH_planner.json.
 fn main() {
     benches();
     emit_bench_json();
-    emit_executor_bench_json();
-    emit_oracle_bench_json();
     emit_planner_bench_json();
 }

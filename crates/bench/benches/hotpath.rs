@@ -18,7 +18,7 @@
 //!    byte-identical to the sequential baseline's.
 //! 4. **Corpus wall-clock at pinned worker counts** — the 120-scenario
 //!    corpus registered as one 120-campaign suite, sequential against
-//!    pooled, plus the full 8-path differential sweep executed under
+//!    pooled, plus the full differential sweep executed under
 //!    `EPA_WORKERS=4` (zero divergences required).
 //!
 //! The parallel-speedup gate (pooled ≥ 1.5× sequential on the corpus

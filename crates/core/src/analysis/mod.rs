@@ -984,7 +984,7 @@ mod tests {
         // The no-op still "applies" (the god-mode mutation reports Ok).
         assert!(digest.applied);
         // Force-run the job: the real record must match the synthesis.
-        let campaign = Campaign::build(&Probe, &setup, CampaignOptions::default());
+        let campaign = Campaign::new(&Probe, &setup, CampaignOptions::default());
         let record = campaign.run_job(&job("probe:opt", 0, fault));
         assert_eq!(record.applied, digest.applied);
         assert_eq!(record.exit, digest.exit);

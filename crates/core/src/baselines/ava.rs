@@ -171,7 +171,11 @@ mod tests {
         os.fs
             .put_file("/usr/bin/app", "", Uid::ROOT, Gid::ROOT, Mode::new(0o4755))
             .unwrap();
-        TestSetup::new(os).program("/usr/bin/app").args(["input"])
+        TestSetup {
+            program: Some("/usr/bin/app".into()),
+            args: vec!["input".into()],
+            ..TestSetup::new(os)
+        }
     }
 
     #[test]

@@ -171,7 +171,10 @@ mod tests {
         os.fs
             .put_file("/bin/ovf", "", Uid::ROOT, Gid::ROOT, Mode::new(0o755))
             .unwrap();
-        TestSetup::new(os).args(["hello"])
+        TestSetup {
+            args: vec!["hello".into()],
+            ..TestSetup::new(os)
+        }
     }
 
     #[test]

@@ -1,16 +1,21 @@
-//! The testing procedure of paper §3.3, as an engine.
+//! The testing procedure of paper §3.3: setups, single runs, fault plans.
 //!
-//! A [`Campaign`] takes an application, a pristine world, and options, then:
+//! A campaign takes an application, a pristine world ([`TestSetup`]), and
+//! [`CampaignOptions`], then:
 //!
 //! 1. runs the application unperturbed and records the execution trace
 //!    (steps 1–3: enumerate interaction points and whether they take input);
 //! 2. builds the applicable fault list per interaction point from the
-//!    catalog (steps 4–5);
+//!    catalog (steps 4–5) — the [`CampaignPlan`];
 //! 3. re-runs the application once per fault from a fresh clone of the
 //!    world, injecting the fault before/after the targeted point (steps
 //!    6–7) and asking the policy oracle for violations (step 8);
 //! 4. reports interaction coverage, fault coverage, and the vulnerability
 //!    assessment score (steps 9–10).
+//!
+//! Campaigns are run through [`crate::engine::Session`] (one application)
+//! or [`crate::engine::Suite`] (a batch); both hand every plan to the same
+//! driver.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::AssertUnwindSafe;
@@ -25,8 +30,7 @@ use epa_sandbox::syscall::Interceptor;
 use epa_sandbox::trace::{SiteId, SiteSummary};
 
 use crate::catalog::{faults_for_site, DirectContext};
-use crate::engine::executor::Executor;
-use crate::engine::planner::{Claim, FaultKey, ResultCache, RunDigest, Schedule, YieldStats};
+use crate::engine::planner::{Claim, FaultKey, ResultCache, RunDigest, Schedule};
 use crate::inject::{InjectionHook, InjectionPlan};
 use crate::perturb::ConcreteFault;
 use crate::report::{CampaignReport, FaultRecord};
@@ -68,54 +72,6 @@ impl TestSetup {
             cwd: "/".to_string(),
             invariants: Vec::new(),
         }
-    }
-
-    /// Sets the program file (enabling SUID).
-    #[must_use]
-    pub fn program(mut self, path: impl Into<String>) -> Self {
-        self.program = Some(path.into());
-        self
-    }
-
-    /// Sets the argument vector.
-    #[must_use]
-    pub fn args<I, S>(mut self, args: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.args = args.into_iter().map(Into::into).collect();
-        self
-    }
-
-    /// Sets one environment variable.
-    #[must_use]
-    pub fn env(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.env.insert(key.into(), value.into());
-        self
-    }
-
-    /// Sets the working directory.
-    #[must_use]
-    pub fn cwd(mut self, dir: impl Into<String>) -> Self {
-        self.cwd = dir.into();
-        self
-    }
-
-    /// Sets the invoking user (defaults to the world's scenario invoker).
-    /// System services are spawned by root while the scenario invoker stays
-    /// the user on whose behalf the oracle judges outcomes.
-    #[must_use]
-    pub fn invoker(mut self, uid: Uid) -> Self {
-        self.invoker = uid;
-        self
-    }
-
-    /// Adds a declarative custom invariant to every run's oracle set.
-    #[must_use]
-    pub fn invariant(mut self, spec: InvariantSpec) -> Self {
-        self.invariants.push(spec);
-        self
     }
 
     /// The oracle set a run of this setup evaluates against: the standard
@@ -197,6 +153,25 @@ impl RunOutcome {
     pub fn has_crashed(&self) -> bool {
         self.crashed.is_some()
     }
+
+    /// The executed record of injection `job`, whose fault fired iff
+    /// `applied`.
+    pub(crate) fn into_record(self, job: &InjectionPlan, applied: bool) -> FaultRecord {
+        FaultRecord {
+            site: job.site.to_string(),
+            occurrence: job.occurrence,
+            fault_id: job.fault.id.clone(),
+            category: job.fault.category,
+            description: job.fault.description.clone(),
+            applied,
+            exit: self.exit,
+            crashed: self.crashed,
+            audit_events: self.os.audit.len(),
+            cache_hit: false,
+            pruned: false,
+            violations: self.violations,
+        }
+    }
 }
 
 /// Extracts the payload text from a caught panic (`&str` and `String`
@@ -217,38 +192,14 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// The oracle evaluates **incrementally**: the setup's [`OracleSet`] is
 /// subscribed to the run's audit log before the application starts, every
 /// recorded event streams straight to the detectors, and the verdicts are
-/// collected the moment the run ends — no post-hoc re-scan of the log.
+/// collected the moment the run ends — no post-hoc re-scan of the log
+/// ([`OracleSet::evaluate_log`] is the reference implementation the tests
+/// and the corpus harness compare against).
 pub fn run_once(setup: &TestSetup, app: &dyn Application, hook: Option<Box<dyn Interceptor>>) -> RunOutcome {
-    run_once_impl(setup, app, hook, true)
-}
-
-/// As [`run_once`], but with the **retired batch oracle**: the run executes
-/// unobserved and the completed audit log is re-scanned afterwards.
-///
-/// The verdicts are identical to the incremental path by construction (the
-/// property tests in `tests/props_oracle.rs` pin this); the function exists
-/// as the comparison baseline for `BENCH_oracle.json` and for equivalence
-/// testing. New code should use [`run_once`].
-pub fn run_once_batch_oracle(
-    setup: &TestSetup,
-    app: &dyn Application,
-    hook: Option<Box<dyn Interceptor>>,
-) -> RunOutcome {
-    run_once_impl(setup, app, hook, false)
-}
-
-fn run_once_impl(
-    setup: &TestSetup,
-    app: &dyn Application,
-    hook: Option<Box<dyn Interceptor>>,
-    incremental: bool,
-) -> RunOutcome {
     let mut os = setup.world.clone();
-    if incremental {
-        os.audit.attach_oracle(setup.oracle());
-    }
-    // Collects the verdicts from whichever path is active: detach the
-    // subscribed set, or feed the completed log to a fresh one.
+    os.audit.attach_oracle(setup.oracle());
+    // An application that swapped the subscription out is judged by a
+    // post-hoc scan of its log instead.
     let verdicts = |os: &mut Os| match os.audit.detach_oracle() {
         Some(mut oracle) => oracle.finish(),
         None => setup.oracle().evaluate_log(&os.audit),
@@ -307,14 +258,6 @@ pub struct CampaignOptions {
     /// preserves the historical first-hit-only plans; use
     /// `usize::MAX` to cover every traced occurrence.
     pub max_occurrences_per_site: usize,
-    /// Run injected experiments on worker threads.
-    pub parallel: bool,
-    /// Worker-thread ceiling for parallel execution. `None` (the default)
-    /// sizes the pool to the hardware — or to the `EPA_WORKERS`
-    /// environment variable when set (see [`crate::engine::Executor::new`]).
-    /// Benches and CI set an explicit count to measure 1/4/8-worker
-    /// throughput on arbitrary hardware.
-    pub workers: Option<usize>,
     /// Collapse jobs whose canonical [`crate::engine::planner::FaultKey`]s
     /// are equal: only the first executes, the rest replay its outcome with
     /// `cache_hit: true`. On by default — replays are byte-identical by
@@ -332,9 +275,8 @@ pub struct CampaignOptions {
     /// the next job adaptively by observed per-EAI-category verdict yield
     /// ([`crate::engine::planner::YieldStats`]). `None` — the default, and
     /// what every paper table uses — executes the exhaustive plan in plan
-    /// order. Budgeted execution is inherently sequential (each pick feeds
-    /// on the previous outcome), so it ignores
-    /// [`CampaignOptions::parallel`] within one campaign; a suite still
+    /// order. Budgeted execution is inherently sequential within one
+    /// campaign (each pick feeds on the previous outcome); a suite still
     /// interleaves budgeted campaigns across its worker pool.
     pub plan_budget: Option<usize>,
     /// Pre-prune the plan with the static analysis layer: jobs the
@@ -357,8 +299,6 @@ impl Default for CampaignOptions {
             max_sites: None,
             max_faults_per_site: None,
             max_occurrences_per_site: 1,
-            parallel: false,
-            workers: None,
             dedup: true,
             cache: None,
             plan_budget: None,
@@ -437,15 +377,15 @@ impl CampaignPlan {
     }
 }
 
-/// The methodology engine.
+/// One application bound to one frozen setup and its options: the §3.3
+/// steps a campaign performs itself (trace, plan, schedule, one perturbed
+/// run) plus the report bookkeeping.
 ///
-/// This is the original single-campaign driver. New code should go through
-/// the [`crate::engine`] facade — [`crate::engine::Session`] freezes one
-/// pristine world and runs campaigns from cheap copy-on-write snapshots,
-/// and [`crate::engine::Suite`] batches many applications — but the shim is
-/// kept (and tested) so existing callers keep reproducing the paper's
-/// numbers unchanged.
-pub struct Campaign<'a> {
+/// Turning a plan into records is not a campaign's job: the crate-private
+/// campaign driver (`engine::driver`) does it for every front-end, so a
+/// [`crate::engine::Session`] and a [`crate::engine::Suite`] share one
+/// execution loop.
+pub(crate) struct Campaign<'a> {
     app: &'a dyn Application,
     setup: &'a TestSetup,
     options: CampaignOptions,
@@ -459,24 +399,7 @@ pub struct Campaign<'a> {
 }
 
 impl<'a> Campaign<'a> {
-    /// Builds a campaign with default options.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `epa_core::engine::Session` (or `Suite` for batches) instead"
-    )]
-    pub fn new(app: &'a dyn Application, setup: &'a TestSetup) -> Self {
-        Campaign {
-            app,
-            setup,
-            options: CampaignOptions::default(),
-            scope: shim_sync::sync::OnceLock::new(),
-            analysis: shim_sync::sync::OnceLock::new(),
-        }
-    }
-
-    /// As [`Campaign::new`], without the deprecation: the engine layer
-    /// builds campaigns internally.
-    pub(crate) fn build(app: &'a dyn Application, setup: &'a TestSetup, options: CampaignOptions) -> Self {
+    pub(crate) fn new(app: &'a dyn Application, setup: &'a TestSetup, options: CampaignOptions) -> Self {
         Campaign {
             app,
             setup,
@@ -484,13 +407,6 @@ impl<'a> Campaign<'a> {
             scope: shim_sync::sync::OnceLock::new(),
             analysis: shim_sync::sync::OnceLock::new(),
         }
-    }
-
-    /// Replaces the options.
-    #[must_use]
-    pub fn with_options(mut self, options: CampaignOptions) -> Self {
-        self.options = options;
-        self
     }
 
     /// Installs `cache` as the campaign's result cache unless the options
@@ -504,7 +420,7 @@ impl<'a> Campaign<'a> {
 
     /// The `(setup fingerprint, application)` memoization scope of this
     /// campaign's runs — see [`TestSetup::fingerprint`].
-    pub fn scope(&self) -> u64 {
+    pub(crate) fn scope(&self) -> u64 {
         *self.scope.get_or_init(|| {
             let text = format!("{}\n{:016x}", self.app.name(), self.setup.fingerprint());
             crate::engine::planner::fnv1a(text.as_bytes())
@@ -529,9 +445,8 @@ impl<'a> Campaign<'a> {
                 .clone(),
         )
     }
-
     /// Steps 1–5: trace the application and build the fault plan.
-    pub fn plan(&self) -> CampaignPlan {
+    pub(crate) fn plan(&self) -> CampaignPlan {
         let clean = run_once(self.setup, self.app, None);
         if self.options.static_prune {
             self.analysis.get_or_init(|| {
@@ -589,27 +504,22 @@ impl<'a> Campaign<'a> {
         CampaignPlan { clean, sites }
     }
 
-    pub(crate) fn run_job(&self, job: &InjectionPlan) -> FaultRecord {
+    /// Runs one injection job: the perturbed run, plus whether its fault
+    /// fired.
+    pub(crate) fn run_injected(&self, job: &InjectionPlan) -> (RunOutcome, bool) {
         let (hook, fired) = InjectionHook::new(job.clone());
         let outcome = run_once(self.setup, self.app, Some(Box::new(hook)));
-        FaultRecord {
-            site: job.site.to_string(),
-            occurrence: job.occurrence,
-            fault_id: job.fault.id.clone(),
-            category: job.fault.category,
-            description: job.fault.description.clone(),
-            applied: fired.get(),
-            exit: outcome.exit,
-            crashed: outcome.crashed,
-            audit_events: outcome.os.audit.len(),
-            cache_hit: false,
-            pruned: false,
-            violations: outcome.violations,
-        }
+        (outcome, fired.get())
+    }
+
+    /// Runs one injection job into its executed record.
+    pub(crate) fn run_job(&self, job: &InjectionPlan) -> FaultRecord {
+        let (outcome, applied) = self.run_injected(job);
+        outcome.into_record(job, applied)
     }
 
     /// As [`Campaign::run_job`], but claim-aware: with a result cache
-    /// installed, at most one thread — across parallel workers, the suite's
+    /// installed, at most one thread — across the workers of a suite's
     /// pool, and even simultaneous suites sharing the cache — executes each
     /// `(scope, FaultKey)`; concurrent callers block on the in-flight claim
     /// ([`ResultCache::begin`]) and replay the winner's digest. Without a
@@ -629,208 +539,9 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Steps 6–10: execute the plan and report.
-    pub fn execute(&self) -> CampaignReport {
-        let plan = self.plan();
-        self.execute_plan(&plan)
-    }
-
-    /// The paper's §3.3 step 9: inject site by site, stopping as soon as
-    /// the interaction-coverage criterion is satisfied.
-    ///
-    /// Returns the report of the incremental campaign; its interaction
-    /// coverage is the smallest prefix coverage `>= criterion` (or the full
-    /// campaign when the criterion is unreachable).
-    pub fn execute_until(&self, min_interaction_coverage: f64) -> CampaignReport {
-        let full = self.plan();
-        let perturbable: Vec<&PlannedSite> = full
-            .sites
-            .iter()
-            .filter(|s| s.included && !s.faults.is_empty())
-            .collect();
-        let total = full.sites.iter().filter(|s| !s.faults.is_empty()).count();
-        let mut records = Vec::new();
-        let mut covered = 0usize;
-        // `plan_budget` caps executed runs across the whole incremental
-        // campaign, not per site batch: the remaining allowance carries
-        // over, decremented by what each batch actually executed.
-        let mut budget_left = self.options.plan_budget;
-        for site in &perturbable {
-            // Each site's batch goes through the planner (dedup + memo +
-            // parallel execution), so the incremental §3.3 criterion run
-            // honors the planning options too; records stay in plan order
-            // within the batch.
-            let jobs = site.jobs();
-            let batch = self.run_jobs_with(&jobs, budget_left, &mut |_| {});
-            if let Some(left) = &mut budget_left {
-                *left = left.saturating_sub(batch.iter().filter(|r| !r.cache_hit && !r.pruned).count());
-            }
-            // Under a budget, a site whose batch produced nothing was not
-            // perturbed and must not count toward the coverage criterion.
-            if !batch.is_empty() || self.options.plan_budget.is_none() {
-                covered += 1;
-            }
-            records.extend(batch);
-            if total > 0 && covered as f64 / total as f64 >= min_interaction_coverage {
-                break;
-            }
-        }
-        CampaignReport {
-            app: self.app.name().to_string(),
-            total_sites: total,
-            perturbed_sites: covered,
-            clean_violations: full.clean.violations.len(),
-            records,
-        }
-    }
-
-    /// Executes a pre-built plan (lets callers inspect or prune it first).
-    pub fn execute_plan(&self, plan: &CampaignPlan) -> CampaignReport {
-        self.execute_plan_with(plan, &mut |_| {})
-    }
-
-    /// As [`Campaign::execute_plan`], additionally streaming every record to
-    /// `on_record` as soon as its run completes (completion order; the
-    /// returned report is always in plan order). This is the primitive the
-    /// engine's [`crate::engine::Suite`] streaming API builds on.
-    pub fn execute_plan_with(&self, plan: &CampaignPlan, on_record: &mut dyn FnMut(&FaultRecord)) -> CampaignReport {
-        let jobs = plan.jobs();
-        let records = self.run_jobs(&jobs, on_record);
-        self.report_from(plan, records)
-    }
-
-    /// Runs a flat job list through the planner: canonical-fault dedup,
-    /// cache memoization, then execution of the remaining misses — in plan
-    /// order (parallel over the executor's shared queue when the options
-    /// ask for it), or adaptively when a
-    /// [`CampaignOptions::plan_budget`] caps the run count. Replayed
-    /// records never occupy a worker slot.
-    ///
-    /// The returned records are in plan order; budget-dropped jobs are
-    /// absent. `on_record` observes every record (executed and replayed) in
-    /// completion order.
-    pub(crate) fn run_jobs(&self, jobs: &[InjectionPlan], on_record: &mut dyn FnMut(&FaultRecord)) -> Vec<FaultRecord> {
-        self.run_jobs_with(jobs, self.options.plan_budget, on_record)
-    }
-
-    /// As [`Campaign::run_jobs`], with an explicit execution budget — the
-    /// remaining per-campaign allowance when the caller splits one
-    /// campaign across several batches ([`Campaign::execute_until`]).
-    fn run_jobs_with(
-        &self,
-        jobs: &[InjectionPlan],
-        plan_budget: Option<usize>,
-        on_record: &mut dyn FnMut(&FaultRecord),
-    ) -> Vec<FaultRecord> {
-        let cache = self.options.cache.clone();
-        let scope = if cache.is_some() { self.scope() } else { 0 };
-        let schedule = self.schedule(jobs);
-        let mut slots: Vec<Option<FaultRecord>> = jobs.iter().map(|_| None).collect();
-
-        // Statically pruned canonicals (and their aliases) replay their
-        // synthesized clean-run digests inline.
-        for (idx, digest) in &schedule.pruned {
-            let record = digest.replay_pruned(&jobs[*idx]);
-            on_record(&record);
-            slots[*idx] = Some(record);
-            for &alias in schedule.aliases_of(*idx) {
-                let record = digest.replay_pruned(&jobs[alias]);
-                on_record(&record);
-                slots[alias] = Some(record);
-            }
-        }
-
-        // Cache-resolved canonicals (and their aliases) replay inline.
-        for (idx, digest) in &schedule.resolved {
-            let record = digest.replay(&jobs[*idx]);
-            on_record(&record);
-            slots[*idx] = Some(record);
-            for &alias in schedule.aliases_of(*idx) {
-                let record = digest.replay(&jobs[alias]);
-                on_record(&record);
-                slots[alias] = Some(record);
-            }
-        }
-
-        if let Some(budget) = plan_budget {
-            // Budgeted execution: sequential by construction — every pick
-            // feeds on the verdict yield of everything observed so far,
-            // including the replays above.
-            let mut stats = YieldStats::new();
-            for record in slots.iter().flatten() {
-                stats.observe(record.category, !record.tolerated());
-            }
-            let mut remaining = schedule.pending.clone();
-            let mut executed = 0usize;
-            while executed < budget && !remaining.is_empty() {
-                let pos = stats.pick(&remaining, jobs);
-                let idx = remaining.remove(pos);
-                let record = self.run_job_cached(&jobs[idx]);
-                // A claim replay (another thread, or a duplicate key in an
-                // undeduped plan, already executed this run) is free: only
-                // actual executions spend the budget.
-                if !record.cache_hit {
-                    executed += 1;
-                }
-                stats.observe(record.category, !record.tolerated());
-                on_record(&record);
-                self.finish_canonical(
-                    &schedule,
-                    jobs,
-                    idx,
-                    record,
-                    scope,
-                    cache.as_ref(),
-                    &mut slots,
-                    on_record,
-                );
-            }
-        } else if self.options.parallel && schedule.pending.len() > 1 {
-            // One shared queue over bounded workers (no static `i % workers`
-            // partitioning): idle workers steal the next unclaimed job, and
-            // the executor reassembles plan order from the job indices.
-            let pending_jobs: Vec<&InjectionPlan> = schedule.pending.iter().map(|&i| &jobs[i]).collect();
-            let executed =
-                self.executor()
-                    .run_indexed(&pending_jobs, |_, job| self.run_job_cached(job), &mut |_, r| {
-                        on_record(r);
-                    });
-            for (k, record) in executed.into_iter().enumerate() {
-                let idx = schedule.pending[k];
-                self.finish_canonical(
-                    &schedule,
-                    jobs,
-                    idx,
-                    record,
-                    scope,
-                    cache.as_ref(),
-                    &mut slots,
-                    on_record,
-                );
-            }
-        } else {
-            for &idx in &schedule.pending {
-                let record = self.run_job_cached(&jobs[idx]);
-                on_record(&record);
-                self.finish_canonical(
-                    &schedule,
-                    jobs,
-                    idx,
-                    record,
-                    scope,
-                    cache.as_ref(),
-                    &mut slots,
-                    on_record,
-                );
-            }
-        }
-        slots.into_iter().flatten().collect()
-    }
-
     /// Canonicalizes a flat job list against this campaign's scope, cache,
-    /// and dedup setting (the planner's entry point; the suite's pooled
-    /// queue drives the schedule itself so cache replays never occupy a
-    /// worker slot).
+    /// and dedup setting (the planner's entry point; the driver runs the
+    /// schedule so cache replays never occupy a worker slot).
     pub(crate) fn schedule(&self, jobs: &[InjectionPlan]) -> Schedule {
         let scope = if self.options.cache.is_some() { self.scope() } else { 0 };
         let analysis = self.analysis();
@@ -855,47 +566,7 @@ impl<'a> Campaign<'a> {
         self.options.plan_budget
     }
 
-    /// Books one executed canonical record: memoizes its digest, replays
-    /// its aliases, and files everything into the plan-order slots.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_canonical(
-        &self,
-        schedule: &Schedule,
-        jobs: &[InjectionPlan],
-        idx: usize,
-        record: FaultRecord,
-        scope: u64,
-        cache: Option<&ResultCache>,
-        slots: &mut [Option<FaultRecord>],
-        on_record: &mut dyn FnMut(&FaultRecord),
-    ) {
-        let aliases = schedule.aliases_of(idx);
-        if cache.is_some() || !aliases.is_empty() {
-            let digest = RunDigest::of(&record);
-            if let Some(c) = cache {
-                c.insert(scope, schedule.key(idx), digest.clone());
-            }
-            for &alias in aliases {
-                let replay = digest.replay(&jobs[alias]);
-                on_record(&replay);
-                slots[alias] = Some(replay);
-            }
-        }
-        slots[idx] = Some(record);
-    }
-
-    /// A hardware-bounded pool for this campaign's injected runs, honoring
-    /// an explicit [`CampaignOptions::workers`] override when set.
-    fn executor(&self) -> Executor {
-        match self.options.workers {
-            Some(w) => Executor::with_workers(w),
-            None => Executor::new(),
-        }
-    }
-
-    /// Folds executed records into the campaign report (shared by the
-    /// in-process paths above and the suite-wide pooled executor, which
-    /// runs the jobs itself and only needs the bookkeeping).
+    /// Folds a finished campaign's records (in plan order) into its report.
     pub(crate) fn report_from(&self, plan: &CampaignPlan, records: Vec<FaultRecord>) -> CampaignReport {
         // Interaction points, in the paper's sense, are the places where the
         // catalog has something to perturb — pure-output sites (prints) have
@@ -924,11 +595,8 @@ impl<'a> Campaign<'a> {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated `Campaign::new` shim is exercised deliberately: it must
-    // keep reproducing the paper's numbers (see also `tests/case_lpr.rs`).
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::engine::{Session, Suite};
     use epa_sandbox::cred::Gid;
     use epa_sandbox::mode::Mode;
     use epa_sandbox::trace::InputSemantic;
@@ -975,7 +643,15 @@ mod tests {
             .put_file("/usr/bin/lpr", "", Uid::ROOT, Gid::ROOT, Mode::new(0o4755))
             .unwrap();
         crate::perturb::tag_standard_targets(&mut os);
-        TestSetup::new(os).program("/usr/bin/lpr").args(["report.txt"])
+        TestSetup {
+            program: Some("/usr/bin/lpr".into()),
+            args: vec!["report.txt".into()],
+            ..TestSetup::new(os)
+        }
+    }
+
+    fn session(options: CampaignOptions) -> Session {
+        Session::from_setup(setup()).with_options(options)
     }
 
     #[test]
@@ -989,9 +665,7 @@ mod tests {
 
     #[test]
     fn plan_enumerates_sites_and_faults() {
-        let s = setup();
-        let c = Campaign::new(&MiniLpr, &s);
-        let plan = c.plan();
+        let plan = session(CampaignOptions::default()).plan(&MiniLpr);
         assert_eq!(plan.sites.len(), 2);
         // Site 1 (arg): 5 user-file-name indirect faults.
         assert_eq!(plan.sites[0].faults.len(), 5);
@@ -1002,8 +676,7 @@ mod tests {
 
     #[test]
     fn execute_detects_the_lpr_vulnerabilities() {
-        let s = setup();
-        let report = Campaign::new(&MiniLpr, &s).execute();
+        let report = session(CampaignOptions::default()).execute(&MiniLpr);
         assert_eq!(report.clean_violations, 0);
         assert_eq!(report.injected(), 9);
         // The four create-site perturbations all defeat the naive creat.
@@ -1019,14 +692,10 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_agree() {
-        let s = setup();
-        let seq = Campaign::new(&MiniLpr, &s).execute();
-        let par = Campaign::new(&MiniLpr, &s)
-            .with_options(CampaignOptions {
-                parallel: true,
-                ..Default::default()
-            })
-            .execute();
+        let seq = session(CampaignOptions::default()).execute(&MiniLpr);
+        let mut suite = Suite::new().with_workers(4);
+        suite.register_session(MiniLpr, session(CampaignOptions::default()));
+        let par = suite.execute().reports.remove(0);
         assert_eq!(seq.injected(), par.injected());
         assert_eq!(seq.violated(), par.violated());
         let seq_ids: Vec<_> = seq.records.iter().map(|r| &r.fault_id).collect();
@@ -1036,14 +705,12 @@ mod tests {
 
     #[test]
     fn options_limit_sites_and_faults() {
-        let s = setup();
-        let report = Campaign::new(&MiniLpr, &s)
-            .with_options(CampaignOptions {
-                max_sites: Some(1),
-                max_faults_per_site: Some(2),
-                ..Default::default()
-            })
-            .execute();
+        let report = session(CampaignOptions {
+            max_sites: Some(1),
+            max_faults_per_site: Some(2),
+            ..Default::default()
+        })
+        .execute(&MiniLpr);
         assert_eq!(report.perturbed_sites, 1);
         assert_eq!(report.injected(), 2);
         assert!(report.interaction_coverage().value_or(1.0) < 1.0);
@@ -1051,44 +718,25 @@ mod tests {
 
     #[test]
     fn site_filter_selects_specific_points() {
-        let s = setup();
         let mut filter = BTreeSet::new();
         filter.insert(SiteId::new("lpr:create"));
-        let report = Campaign::new(&MiniLpr, &s)
-            .with_options(CampaignOptions {
-                site_filter: Some(filter),
-                ..Default::default()
-            })
-            .execute();
+        let report = session(CampaignOptions {
+            site_filter: Some(filter),
+            ..Default::default()
+        })
+        .execute(&MiniLpr);
         assert!(report.records.iter().all(|r| r.site == "lpr:create"));
         assert_eq!(report.injected(), 4);
     }
 
     #[test]
-    fn execute_until_honors_parallel_and_matches_sequential() {
-        let s = setup();
-        for criterion in [0.5, 1.0] {
-            let seq = Campaign::new(&MiniLpr, &s).execute_until(criterion);
-            let par = Campaign::new(&MiniLpr, &s)
-                .with_options(CampaignOptions {
-                    parallel: true,
-                    ..Default::default()
-                })
-                .execute_until(criterion);
-            assert_eq!(seq, par, "criterion {criterion}: records must match in plan order");
-        }
-    }
-
-    #[test]
     fn occurrence_cap_expands_plans_with_occurrence_sensitive_faults() {
-        let s = setup();
-        let base = Campaign::new(&MiniLpr, &s).plan();
-        let expanded = Campaign::new(&MiniLpr, &s)
-            .with_options(CampaignOptions {
-                max_occurrences_per_site: usize::MAX,
-                ..Default::default()
-            })
-            .plan();
+        let base = session(CampaignOptions::default()).plan(&MiniLpr);
+        let expanded = session(CampaignOptions {
+            max_occurrences_per_site: usize::MAX,
+            ..Default::default()
+        })
+        .plan(&MiniLpr);
         // MiniLpr hits each site once, so even an uncapped plan matches the
         // default first-hit plan: occurrence awareness adds jobs only when
         // the trace shows re-execution.
@@ -1099,19 +747,18 @@ mod tests {
 
     #[test]
     fn execute_until_stops_at_the_criterion() {
-        let s = setup();
         // MiniLpr has two perturbable sites; 0.5 coverage stops after one.
-        let half = Campaign::new(&MiniLpr, &s).execute_until(0.5);
+        let half = session(CampaignOptions::default()).execute_until(&MiniLpr, 0.5);
         assert_eq!(half.perturbed_sites, 1);
         assert_eq!(half.interaction_coverage().fraction(), Some(0.5));
         assert!(half.injected() < 9);
         // 1.0 coverage runs everything.
-        let full = Campaign::new(&MiniLpr, &s).execute_until(1.0);
+        let full = session(CampaignOptions::default()).execute_until(&MiniLpr, 1.0);
         assert_eq!(full.perturbed_sites, 2);
         assert_eq!(full.injected(), 9);
         // An unreachable criterion also runs everything (and reports < 1.0
         // only if sites were excluded, which they are not here).
-        let over = Campaign::new(&MiniLpr, &s).execute_until(2.0);
+        let over = session(CampaignOptions::default()).execute_until(&MiniLpr, 2.0);
         assert_eq!(over.perturbed_sites, 2);
     }
 
@@ -1145,15 +792,14 @@ mod tests {
 
     #[test]
     fn memoized_rerun_replays_every_record_byte_identically() {
-        let s = setup();
         let cache = crate::engine::planner::ResultCache::new();
         let options = CampaignOptions {
             cache: Some(cache.clone()),
             ..Default::default()
         };
-        let first = Campaign::new(&MiniLpr, &s).with_options(options.clone()).execute();
+        let first = session(options.clone()).execute(&MiniLpr);
         assert_eq!(first.cache_hits(), 0, "a cold cache replays nothing");
-        let second = Campaign::new(&MiniLpr, &s).with_options(options).execute();
+        let second = session(options).execute(&MiniLpr);
         assert_eq!(
             second.cache_hits(),
             second.injected() - second.pruned(),
@@ -1162,12 +808,11 @@ mod tests {
         assert_eq!(second.runs_executed(), 0);
         assert_eq!(without_cache_flags(second), without_cache_flags(first.clone()));
         // And the memoized report still matches the exhaustive baseline.
-        let exhaustive = Campaign::new(&MiniLpr, &s)
-            .with_options(CampaignOptions {
-                dedup: false,
-                ..Default::default()
-            })
-            .execute();
+        let exhaustive = session(CampaignOptions {
+            dedup: false,
+            ..Default::default()
+        })
+        .execute(&MiniLpr);
         assert_eq!(without_cache_flags(first), exhaustive);
     }
 
@@ -1179,7 +824,7 @@ mod tests {
             cache: Some(cache.clone()),
             ..Default::default()
         };
-        let _ = Campaign::new(&MiniLpr, &s).with_options(options.clone()).execute();
+        let _ = session(options.clone()).execute(&MiniLpr);
         // A different application over the same world must not replay the
         // MiniLpr outcomes: its scope differs.
         struct OtherLpr;
@@ -1191,21 +836,19 @@ mod tests {
                 MiniLpr.run(os, pid)
             }
         }
-        let other = Campaign::new(&OtherLpr, &s).with_options(options).execute();
+        let other = Session::from_setup(s).with_options(options).execute(&OtherLpr);
         assert_eq!(other.cache_hits(), 0);
         assert_eq!(other.runs_executed(), other.injected() - other.pruned());
     }
 
     #[test]
     fn budgeted_campaign_executes_at_most_the_budget() {
-        let s = setup();
-        let full = Campaign::new(&MiniLpr, &s).execute();
-        let budgeted = Campaign::new(&MiniLpr, &s)
-            .with_options(CampaignOptions {
-                plan_budget: Some(3),
-                ..Default::default()
-            })
-            .execute();
+        let full = session(CampaignOptions::default()).execute(&MiniLpr);
+        let budgeted = session(CampaignOptions {
+            plan_budget: Some(3),
+            ..Default::default()
+        })
+        .execute(&MiniLpr);
         assert_eq!(budgeted.runs_executed(), 3);
         assert!(budgeted.injected() <= full.injected());
         // Every budgeted record matches its exhaustive twin exactly.
@@ -1218,37 +861,33 @@ mod tests {
             assert_eq!(twin, record);
         }
         // A budget at least as large as the plan reproduces it exactly.
-        let generous = Campaign::new(&MiniLpr, &s)
-            .with_options(CampaignOptions {
-                plan_budget: Some(full.injected()),
-                ..Default::default()
-            })
-            .execute();
+        let generous = session(CampaignOptions {
+            plan_budget: Some(full.injected()),
+            ..Default::default()
+        })
+        .execute(&MiniLpr);
         assert_eq!(generous.injected(), full.injected());
         assert_eq!(generous.violated(), full.violated());
     }
 
     #[test]
     fn execute_until_budget_caps_the_whole_campaign_not_each_batch() {
-        let s = setup();
         // MiniLpr's full incremental campaign is 9 runs over 2 sites; a
         // budget of 3 must cap the *campaign*, not allow 3 per site.
-        let budgeted = Campaign::new(&MiniLpr, &s)
-            .with_options(CampaignOptions {
-                plan_budget: Some(3),
-                ..Default::default()
-            })
-            .execute_until(1.0);
+        let budgeted = session(CampaignOptions {
+            plan_budget: Some(3),
+            ..Default::default()
+        })
+        .execute_until(&MiniLpr, 1.0);
         assert_eq!(budgeted.runs_executed(), 3);
         // A zero budget executes nothing and must not claim coverage
         // (pruning off: a synthesized inert record would count as injected).
-        let none = Campaign::new(&MiniLpr, &s)
-            .with_options(CampaignOptions {
-                plan_budget: Some(0),
-                static_prune: false,
-                ..Default::default()
-            })
-            .execute_until(1.0);
+        let none = session(CampaignOptions {
+            plan_budget: Some(0),
+            static_prune: false,
+            ..Default::default()
+        })
+        .execute_until(&MiniLpr, 1.0);
         assert_eq!(none.injected(), 0);
         assert_eq!(none.perturbed_sites, 0);
     }
@@ -1256,8 +895,8 @@ mod tests {
     #[test]
     fn scope_is_stable_and_world_sensitive() {
         let s = setup();
-        let a = Campaign::new(&MiniLpr, &s).scope();
-        let b = Campaign::new(&MiniLpr, &s).scope();
+        let a = Campaign::new(&MiniLpr, &s, CampaignOptions::default()).scope();
+        let b = Campaign::new(&MiniLpr, &s, CampaignOptions::default()).scope();
         assert_eq!(a, b, "same app, same frozen world, same scope");
         let mut s2 = setup();
         s2.world
@@ -1265,7 +904,7 @@ mod tests {
             .put_file("/etc/extra", "x", Uid::ROOT, Gid::ROOT, Mode::new(0o644))
             .unwrap();
         assert_ne!(
-            Campaign::new(&MiniLpr, &s2).scope(),
+            Campaign::new(&MiniLpr, &s2, CampaignOptions::default()).scope(),
             a,
             "a changed world changes the scope"
         );

@@ -1,19 +1,22 @@
 //! The differential corpus harness: one scenario, every execution path,
 //! byte-identical verdicts — or a minimized counterexample.
 //!
-//! The engine grew several ways to execute the same campaign (sequential,
-//! pooled executor, suite pool, dedup/memoizing planner, budgeted adaptive
-//! planner, incremental vs. batch oracle). All of them promise the same
-//! verdict set; [`differential_check`] holds them to it. Each path's report
-//! is flattened to a canonical per-record digest line — deliberately
-//! *excluding* the `cache_hit` and `pruned` provenance flags, the only
-//! fields a replay (or a statically pruned synthesis) may legitimately
-//! differ in — and compared byte-for-byte against the sequential baseline.
+//! The engine has several ways to execute the same campaign (inline
+//! session, suite pool, dedup/memoizing planner, budgeted adaptive
+//! planner, static pruning). All of them promise the same verdict set;
+//! [`differential_check`] holds them to the `reference` baseline — a plain
+//! loop of one perturbed run per planned job that shares no scheduling
+//! code with the engine's driver. Each path's report is flattened to a
+//! canonical per-record digest line — deliberately *excluding* the
+//! `cache_hit` and `pruned` provenance flags, the only fields a replay (or
+//! a statically pruned synthesis) may legitimately differ in — and
+//! compared byte-for-byte against the baseline.
 //!
-//! Path #8 (`pruned`) is the soundness gate for the static analyzer: the
-//! same scenario with [`CampaignOptions::static_prune`] on must reproduce
-//! the exhaustive (pruning-off) verdict set exactly, so a `ProvablyInert`
-//! classification that was wrong shows up as a corpus divergence.
+//! The last path (`pruned`) is the soundness gate for the static analyzer:
+//! the same scenario with [`CampaignOptions::static_prune`] on must
+//! reproduce the exhaustive (pruning-off) verdict set exactly, so a
+//! `ProvablyInert` classification that was wrong shows up as a corpus
+//! divergence.
 //!
 //! [`run_corpus`] sweeps a whole synthesized corpus, shrinks any divergence
 //! to a minimal world diff ([`mod@super::shrink`]), and rolls the results
@@ -30,11 +33,10 @@ use epa_sandbox::process::Pid;
 
 use super::report::CorpusReport;
 use super::{shrink, Scenario};
-use crate::campaign::{run_once, run_once_batch_oracle, CampaignOptions};
+use crate::campaign::{Campaign, CampaignOptions, RunOutcome};
 use crate::coverage::AdequacyPoint;
 use crate::engine::planner::ResultCache;
 use crate::engine::{Session, Suite};
-use crate::inject::InjectionHook;
 use crate::report::CampaignReport;
 use crate::report::FaultRecord;
 
@@ -63,8 +65,8 @@ impl Application for SharedApp {
 /// One execution path's flattened outcome.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PathOutcome {
-    /// Path name (`sequential`, `executor`, `suite`, `planner-cold`,
-    /// `planner-warm`, `budgeted`, `batch-oracle`, `pruned`).
+    /// Path name (`reference`, `sequential`, `suite`, `planner-cold`,
+    /// `planner-warm`, `budgeted`, `pruned`).
     pub path: String,
     /// Canonical digest lines, one per injected record, in plan order.
     pub lines: Vec<String>,
@@ -140,8 +142,8 @@ fn report_outcome(path: &str, report: &CampaignReport) -> PathOutcome {
 /// The campaign options every path shares: strike every traced occurrence
 /// of every site (the corpus is biased toward occurrence-sensitive shapes,
 /// so first-hit-only plans would under-exercise it). Static pruning is off
-/// so paths 1–7 stay the exhaustive ground truth; path #8 turns it back on
-/// and must agree with them byte-for-byte.
+/// so every other path stays the exhaustive ground truth; the `pruned`
+/// path turns it back on and must agree with them byte-for-byte.
 fn base_options() -> CampaignOptions {
     CampaignOptions {
         max_occurrences_per_site: usize::MAX,
@@ -206,17 +208,19 @@ fn diff_lines(baseline: &PathOutcome, candidate: &PathOutcome, seed: u64) -> Opt
 ///
 /// Paths, all against the same materialized setup:
 ///
-/// 1. `sequential` — the baseline: in-order, no dedup, no cache;
-/// 2. `executor` — the pooled work-stealing executor;
+/// 1. `reference` — the baseline: one perturbed run per planned job, in
+///    plan order, with no schedule, no dedup and no cache; every run's
+///    incremental verdicts (and the clean run's) are cross-checked against
+///    a post-hoc [`epa_sandbox::policy::OracleSet::evaluate_log`] scan of
+///    its audit log;
+/// 2. `sequential` — a [`Session`] driving the campaign inline;
 /// 3. `suite` — the suite's expanding plan/inject pool (suite-scoped cache);
 /// 4. `planner-cold` / `planner-warm` — canonical-fault dedup plus a fresh
 ///    [`ResultCache`], executed twice (the warm pass must replay, and still
 ///    agree byte-for-byte);
 /// 5. `budgeted` — the adaptive planner with a budget covering the whole
 ///    plan;
-/// 6. `batch-oracle` — every injection re-run under the retired post-hoc
-///    oracle, plus a clean-run incremental/batch cross-check;
-/// 7. `pruned` — the static analyzer's pre-pruned plan (dedup on, so
+/// 6. `pruned` — the static analyzer's pre-pruned plan (dedup on, so
 ///    canonical-alias replay composes with prune synthesis): every record
 ///    the analyzer refuses to execute must still carry the exhaustive
 ///    verdict, byte-for-byte.
@@ -266,8 +270,30 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
 
     let session = |options: CampaignOptions| Session::from_setup(setup.clone()).with_options(options);
 
-    // Path 1: sequential baseline.
-    let baseline_report = match run_path("sequential", seed, || session(base_options()).execute(&*app)) {
+    // Path 1: the reference loop.
+    let baseline_report = match run_path("reference", seed, || {
+        let campaign = Campaign::new(&*app, &setup, base_options());
+        let plan = campaign.plan();
+        let oracle_agrees = |outcome: &RunOutcome| setup.oracle().evaluate_log(&outcome.os.audit) == outcome.violations;
+        assert!(
+            oracle_agrees(&plan.clean),
+            "clean run: incremental vs batch oracle verdicts differ"
+        );
+        let records = plan
+            .jobs()
+            .iter()
+            .map(|job| {
+                let (outcome, applied) = campaign.run_injected(job);
+                assert!(
+                    oracle_agrees(&outcome),
+                    "{}: incremental vs batch oracle verdicts differ",
+                    job.fault.id
+                );
+                outcome.into_record(job, applied)
+            })
+            .collect();
+        campaign.report_from(&plan, records)
+    }) {
         Ok(report) => report,
         Err(d) => {
             return ScenarioOutcome {
@@ -284,7 +310,7 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
             };
         }
     };
-    let baseline = report_outcome("sequential", &baseline_report);
+    let baseline = report_outcome("reference", &baseline_report);
     let mut summary = outcome(&baseline_report, baseline_report.total_sites);
     paths.push(baseline.clone());
 
@@ -303,13 +329,9 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
         }
     };
 
-    // Path 2: pooled executor.
-    check("executor", &mut || {
-        let options = CampaignOptions {
-            parallel: true,
-            ..base_options()
-        };
-        report_outcome("executor", &session(options).execute(&*app))
+    // Path 2: a session driving the campaign inline.
+    check("sequential", &mut || {
+        report_outcome("sequential", &session(base_options()).execute(&*app))
     });
 
     // Path 3: the suite's expanding plan/inject pool (suite-scoped cache).
@@ -354,44 +376,7 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
         report_outcome("budgeted", &session(options).execute(&*app))
     });
 
-    // Path 6: the retired batch oracle, job by job, plus the clean run.
-    check("batch-oracle", &mut || {
-        let plan = session(base_options()).plan(&*app);
-        let mut lines = Vec::new();
-        for job in plan.jobs() {
-            let (hook, fired) = InjectionHook::new(job.clone());
-            let run = run_once_batch_oracle(&setup, &*app, Some(Box::new(hook)));
-            let violations = serde_json::to_string(&run.violations).expect("verdicts serialize");
-            lines.push(format!(
-                "{}|{}|{}|{}|{:?}|{:?}|{}|{}",
-                job.site,
-                job.occurrence,
-                job.fault.id,
-                fired.get(),
-                run.exit,
-                run.crashed,
-                run.os.audit.len(),
-                violations
-            ));
-        }
-        let clean_incremental = run_once(&setup, &*app, None);
-        let clean_batch = run_once_batch_oracle(&setup, &*app, None);
-        assert_eq!(
-            serde_json::to_string(&clean_incremental.violations).expect("verdicts serialize"),
-            serde_json::to_string(&clean_batch.violations).expect("verdicts serialize"),
-            "clean run: incremental vs batch oracle verdicts differ"
-        );
-        let executed = lines.len();
-        PathOutcome {
-            path: "batch-oracle".to_string(),
-            lines,
-            runs_executed: executed,
-            cache_hits: 0,
-            pruned: 0,
-        }
-    });
-
-    // Path 8: the statically pre-pruned plan. The analyzer may only drop
+    // Path 6: the statically pre-pruned plan. The analyzer may only drop
     // `ProvablyInert` jobs, whose synthesized records must match the
     // exhaustive baseline's byte-for-byte — any unsound classification
     // diverges here and gets shrunk to a minimal world.

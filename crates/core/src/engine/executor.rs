@@ -7,16 +7,15 @@
 //! application while every campaign could additionally fan out
 //! `available_parallelism` workers with static `i % workers` partitioning —
 //! oversubscribing the machine and leaving fast workers idle behind slow
-//! static partitions. The [`Executor`] replaces both. Static job lists
-//! ([`Executor::run_indexed`]) are claimed from a lock-free atomic cursor.
-//! Expanding queues ([`Executor::run_expanding`]) used to funnel every
-//! worker through one `Mutex<VecDeque>` + `Condvar`; that single hot lock
-//! is now **sharded**: each worker owns a deque, pops its own front, and
-//! steals from sibling tails when empty, so queue contention is spread
-//! over `workers` locks instead of one. Results stream back over an
-//! `mpsc` channel to the *calling* thread (so callbacks need no `Sync`) and
-//! are reassembled into deterministic plan order by job index, keeping
-//! pooled reports byte-identical to sequential ones.
+//! static partitions. The [`Executor`] replaces both with one worker loop:
+//! [`Executor::run_expanding`], over a **sharded** queue — each worker
+//! owns a deque, pops its own front, and steals from sibling tails when
+//! empty, so queue contention is spread over `workers` locks instead of
+//! one. Static job lists ([`Executor::run_indexed`]) are a seed-only
+//! expanding queue. Results stream back over an `mpsc` channel to the
+//! *calling* thread (so callbacks need no `Sync`) and are reassembled into
+//! deterministic plan order by job index, keeping pooled reports
+//! byte-identical to sequential ones.
 
 use std::collections::VecDeque;
 
@@ -227,56 +226,27 @@ impl Executor {
 
     /// Executes a static job list, returning results **in job order**.
     ///
-    /// Workers pull the next unclaimed index from a shared cursor (dynamic
-    /// load balancing — no static partitioning), results stream back to the
-    /// calling thread which invokes `on_done(index, &result)` in completion
-    /// order, and the returned vector is reassembled by index.
+    /// A seed-only [`Executor::run_expanding`] queue (never more workers
+    /// than jobs): idle workers steal the next unclaimed job, results
+    /// stream back to the calling thread which invokes `on_done(index,
+    /// &result)` in completion order, and the returned vector is
+    /// reassembled by index.
     pub fn run_indexed<J, T, F>(&self, jobs: &[J], run: F, on_done: &mut dyn FnMut(usize, &T)) -> Vec<T>
     where
         J: Sync,
         T: Send,
         F: Fn(usize, &J) -> T + Sync,
     {
-        let workers = self.workers.min(jobs.len());
-        if workers <= 1 {
-            return jobs
-                .iter()
-                .enumerate()
-                .map(|(i, j)| {
-                    let t = run(i, j);
-                    on_done(i, &t);
-                    t
-                })
-                .collect();
-        }
-        let cursor = AtomicUsize::new(0);
         let mut slots: Vec<Option<T>> = (0..jobs.len()).map(|_| None).collect();
-        thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<(usize, T)>();
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let run = &run;
-                scope.spawn(move || {
-                    let _gauge = WorkerGauge::enter();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        if tx.send((i, run(i, &jobs[i]))).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            // Drain on the calling thread so `on_done` needs no `Sync`.
-            for (i, t) in rx {
+        Executor::with_workers(self.workers.min(jobs.len())).run_expanding(
+            (0..jobs.len()).collect(),
+            |i| (i, run(i, &jobs[i])),
+            &mut |(i, t)| {
                 on_done(i, &t);
                 slots[i] = Some(t);
-            }
-        });
+                Vec::new()
+            },
+        );
         slots.into_iter().map(|s| s.expect("every job completes")).collect()
     }
 
@@ -294,9 +264,12 @@ impl Executor {
         F: Fn(J) -> T + Sync,
     {
         if self.workers <= 1 {
-            let mut queue: VecDeque<J> = seed.into();
-            while let Some(job) = queue.pop_front() {
-                queue.extend(on_done(step(job)));
+            // Depth-first: a job's follow-ups run before the remaining
+            // seeds, so an inline suite finishes one campaign (and drops
+            // its plan) before it plans the next.
+            let mut stack: Vec<J> = seed.into_iter().rev().collect();
+            while let Some(job) = stack.pop() {
+                stack.extend(on_done(step(job)).into_iter().rev());
             }
             return;
         }

@@ -27,14 +27,15 @@
 //!    deterministic plan-order reassembly of the results. Cache replays
 //!    resolve inline on the calling thread and never occupy a worker slot.
 //!
-//! The pre-engine driver, [`crate::campaign::Campaign`], remains underneath
-//! as the single-campaign primitive; its deprecated constructor keeps old
-//! callers reproducing the paper's numbers unchanged.
+//! Underneath, one crate-private driver (`driver`) turns plans into
+//! records for both front-ends: a session runs it inline on the calling
+//! thread, a suite runs it over its worker pool. Parallelism is a suite
+//! property ([`Suite::with_workers`], `EPA_WORKERS`).
 //!
 //! # Example
 //!
 //! ```
-//! use epa_core::engine::{Engine, WorldSpec};
+//! use epa_core::engine::{Session, WorldSpec};
 //! use epa_sandbox::app::Application;
 //! use epa_sandbox::cred::{Gid, Uid};
 //! use epa_sandbox::os::{Os, ScenarioMeta};
@@ -62,7 +63,7 @@
 //!     .suid_root_program("/usr/bin/lpr")
 //!     .build();
 //!
-//! let session = Engine::new().session(&spec)?;
+//! let session = Session::new(&spec)?;
 //! let report = session.execute(&Lpr);
 //! assert_eq!(report.injected(), 4);   // existence, ownership, permission, symlink
 //! assert_eq!(report.violated(), 4);   // naive creat tolerates none of them
@@ -70,6 +71,7 @@
 //! # }
 //! ```
 
+mod driver;
 pub mod executor;
 #[cfg(feature = "model-check")]
 pub mod modelcheck;
@@ -86,86 +88,3 @@ pub use spec::{
     UserSpec, WorldSpec,
 };
 pub use suite::{Suite, SuiteEvent, SuiteReport};
-
-use epa_sandbox::app::Application;
-
-use crate::campaign::{CampaignOptions, TestSetup};
-
-/// The top-level facade: a set of default campaign options from which
-/// sessions and suites are minted.
-#[derive(Debug, Clone, Default)]
-pub struct Engine {
-    options: CampaignOptions,
-}
-
-impl Engine {
-    /// An engine with default options.
-    pub fn new() -> Engine {
-        Engine::default()
-    }
-
-    /// Replaces the default campaign options handed to new sessions.
-    #[must_use]
-    pub fn with_options(mut self, options: CampaignOptions) -> Engine {
-        self.options = options;
-        self
-    }
-
-    /// Materializes a spec into a frozen [`Session`] carrying the engine's
-    /// options.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SpecError`] from [`WorldSpec::materialize`].
-    pub fn session(&self, spec: &WorldSpec) -> Result<Session, SpecError> {
-        Ok(Session::new(spec)?.with_options(self.options.clone()))
-    }
-
-    /// Freezes an already-built setup into a [`Session`] carrying the
-    /// engine's options.
-    pub fn session_from(&self, setup: TestSetup) -> Session {
-        Session::from_setup(setup).with_options(self.options.clone())
-    }
-
-    /// An empty [`Suite`]; `register` campaigns onto it, then `execute`.
-    pub fn suite(&self) -> Suite {
-        Suite::new()
-    }
-
-    /// Convenience: build a suite from heterogeneous `(application, spec)`
-    /// pairs in one call, each session carrying the engine's options.
-    ///
-    /// ```
-    /// # use epa_core::engine::Engine;
-    /// # use epa_sandbox::app::Application;
-    /// # use epa_sandbox::os::Os;
-    /// # use epa_sandbox::process::Pid;
-    /// # struct A; impl Application for A {
-    /// #     fn name(&self) -> &'static str { "a" }
-    /// #     fn run(&self, _: &mut Os, _: Pid) -> i32 { 0 }
-    /// # }
-    /// # struct B; impl Application for B {
-    /// #     fn name(&self) -> &'static str { "b" }
-    /// #     fn run(&self, _: &mut Os, _: Pid) -> i32 { 0 }
-    /// # }
-    /// # fn spec_for(_: &str) -> epa_core::engine::WorldSpec { unimplemented!() }
-    /// # fn no_run(engine: Engine) -> Result<(), epa_core::engine::SpecError> {
-    /// let suite = engine.suite_of(vec![
-    ///     (Box::new(A) as Box<dyn Application + Send + Sync>, spec_for("a")),
-    ///     (Box::new(B), spec_for("b")),
-    /// ])?;
-    /// # Ok(()) }
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// The first [`SpecError`] any spec produces.
-    pub fn suite_of(&self, pairs: Vec<(Box<dyn Application + Send + Sync>, WorldSpec)>) -> Result<Suite, SpecError> {
-        let mut suite = Suite::new();
-        for (app, spec) in pairs {
-            let session = self.session(&spec)?;
-            suite.register_session(app, session);
-        }
-        Ok(suite)
-    }
-}

@@ -337,7 +337,7 @@ impl CacheShared {
 /// digest.
 ///
 /// Beyond completed digests the cache tracks *in-flight claims*
-/// ([`ResultCache::begin`]): when two threads — parallel campaign workers,
+/// ([`ResultCache::begin`]): when two threads — workers of one suite pool,
 /// or two whole suites sharing one cache — race to execute the same
 /// `(scope, key)`, exactly one wins the claim and executes; the others
 /// block until the winner's digest lands and then replay it. No

@@ -14,6 +14,7 @@ use epa_sandbox::app::Application;
 use epa_sandbox::os::Os;
 
 use crate::campaign::{run_once, Campaign, CampaignOptions, CampaignPlan, RunOutcome, TestSetup};
+use crate::engine::driver::{drive_one, Bound};
 use crate::engine::spec::{SpecError, WorldSpec};
 use crate::report::{CampaignReport, FaultRecord};
 
@@ -102,30 +103,78 @@ impl Session {
 
     /// Steps 1–10: the full campaign.
     pub fn execute(&self, app: &dyn Application) -> CampaignReport {
-        self.campaign(app).execute_plan(&self.plan(app))
+        self.execute_streaming(app, &mut |_| {})
     }
 
     /// Executes a pre-built plan (lets callers inspect or prune it first).
     pub fn execute_plan(&self, app: &dyn Application, plan: &CampaignPlan) -> CampaignReport {
-        self.campaign(app).execute_plan(plan)
+        let campaign = self.campaign(app);
+        let bound = Bound {
+            plan: Some((plan, plan.jobs())),
+            ..Bound::new(&campaign)
+        };
+        drive_one(bound, &mut |_| {})
     }
 
     /// As [`Session::execute`], streaming every record to `on_record` as
     /// soon as its run completes (completion order; the report is in plan
     /// order).
     pub fn execute_streaming(&self, app: &dyn Application, on_record: &mut dyn FnMut(&FaultRecord)) -> CampaignReport {
-        let plan = self.plan(app);
-        self.campaign(app).execute_plan_with(&plan, on_record)
+        let campaign = self.campaign(app);
+        drive_one(Bound::new(&campaign), on_record)
     }
 
     /// The paper's incremental step 9: perturb site by site until the
     /// interaction-coverage criterion is met.
+    ///
+    /// Returns the report of the incremental campaign; its interaction
+    /// coverage is the smallest prefix coverage `>= criterion` (or the full
+    /// campaign when the criterion is unreachable).
     pub fn execute_until(&self, app: &dyn Application, min_interaction_coverage: f64) -> CampaignReport {
-        self.campaign(app).execute_until(min_interaction_coverage)
+        let campaign = self.campaign(app);
+        let full = campaign.plan();
+        let total = full.sites.iter().filter(|s| !s.faults.is_empty()).count();
+        let mut records = Vec::new();
+        let mut covered = 0usize;
+        // `plan_budget` caps executed runs across the whole incremental
+        // campaign, not per site batch: the remaining allowance carries
+        // over, decremented by what each batch actually executed.
+        let mut budget = self.options.plan_budget;
+        for site in full.sites.iter().filter(|s| s.included && !s.faults.is_empty()) {
+            // Each site's batch goes through the driver (dedup + memo +
+            // budget), so the incremental §3.3 criterion run honors the
+            // planning options too; records stay in plan order within the
+            // batch.
+            let bound = Bound {
+                campaign: &campaign,
+                plan: Some((&full, site.jobs())),
+                budget,
+            };
+            let batch = drive_one(bound, &mut |_| {});
+            if let Some(left) = &mut budget {
+                *left = left.saturating_sub(batch.runs_executed());
+            }
+            // Under a budget, a site whose batch produced nothing was not
+            // perturbed and must not count toward the coverage criterion.
+            if !batch.records.is_empty() || budget.is_none() {
+                covered += 1;
+            }
+            records.extend(batch.records);
+            if total > 0 && covered as f64 / total as f64 >= min_interaction_coverage {
+                break;
+            }
+        }
+        CampaignReport {
+            app: app.name().to_string(),
+            total_sites: total,
+            perturbed_sites: covered,
+            clean_violations: full.clean.violations.len(),
+            records,
+        }
     }
 
     pub(crate) fn campaign<'a>(&'a self, app: &'a dyn Application) -> Campaign<'a> {
-        Campaign::build(app, &self.setup, self.options.clone())
+        Campaign::new(app, &self.setup, self.options.clone())
     }
 }
 
@@ -204,13 +253,5 @@ mod tests {
         streamed.sort();
         in_report.sort();
         assert_eq!(streamed, in_report);
-    }
-
-    #[test]
-    fn session_matches_the_deprecated_campaign_shim() {
-        let s = session();
-        #[allow(deprecated)]
-        let legacy = Campaign::new(&MiniLpr, s.setup()).execute();
-        assert_eq!(s.execute(&MiniLpr), legacy);
     }
 }

@@ -489,21 +489,15 @@ impl WorldSpec {
             what: "file system".to_string(),
             error: e,
         })?;
-        let mut setup = TestSetup::new(os);
-        if let Some(p) = &self.program {
-            setup = setup.program(p.clone());
-        }
-        if let Some(uid) = self.invoker {
-            setup = setup.invoker(uid);
-        }
-        setup = setup.args(self.args.clone()).cwd(self.cwd.clone());
-        for (k, v) in &self.env {
-            setup = setup.env(k.clone(), v.clone());
-        }
-        for inv in &self.invariants {
-            setup = setup.invariant(inv.clone());
-        }
-        Ok(setup)
+        Ok(TestSetup {
+            program: self.program.clone(),
+            invoker: self.invoker.unwrap_or(os.scenario.invoker),
+            args: self.args.clone(),
+            env: self.env.clone(),
+            cwd: self.cwd.clone(),
+            invariants: self.invariants.clone(),
+            world: os,
+        })
     }
 }
 

@@ -21,13 +21,13 @@ use serde::{Deserialize, Serialize};
 
 use epa_sandbox::app::Application;
 
-use crate::campaign::{Campaign, CampaignPlan};
+use crate::campaign::Campaign;
 use crate::coverage::{AdequacyPoint, Ratio};
+use crate::engine::driver::{drive, Bound, Progress};
 use crate::engine::executor::Executor;
-use crate::engine::planner::{ResultCache, RunDigest, Schedule, YieldStats};
+use crate::engine::planner::ResultCache;
 use crate::engine::session::Session;
 use crate::engine::spec::{SpecError, WorldSpec};
-use crate::inject::InjectionPlan;
 use crate::report::{CampaignReport, FaultRecord};
 
 /// An application paired with its frozen session.
@@ -45,8 +45,8 @@ struct SuiteEntry {
 #[non_exhaustive]
 pub enum SuiteEvent {
     /// One application's campaign entered the suite-wide queue (emitted
-    /// before any of its records, from both the sequential and the pooled
-    /// paths, so streaming consumers can render per-app progress).
+    /// for every application before any record, so streaming consumers can
+    /// render per-app progress).
     AppStarted {
         /// The application under test.
         app: String,
@@ -71,7 +71,6 @@ pub enum SuiteEvent {
 #[derive(Default)]
 pub struct Suite {
     entries: Vec<SuiteEntry>,
-    sequential: bool,
     cache: ResultCache,
     workers: Option<usize>,
 }
@@ -187,15 +186,14 @@ impl Suite {
         self.entries.iter().map(|e| e.app.name()).collect()
     }
 
-    /// Runs the campaigns one at a time on the calling thread instead of
-    /// fanning out (deterministic event order; useful for debugging).
+    /// Runs everything inline on the calling thread: shorthand for
+    /// `with_workers(1)` (deterministic event order; useful for debugging).
     #[must_use]
-    pub fn sequential(mut self) -> Suite {
-        self.sequential = true;
-        self
+    pub fn sequential(self) -> Suite {
+        self.with_workers(1)
     }
 
-    /// Pins the pooled path to an explicit worker count instead of the
+    /// Pins the suite to an explicit worker count instead of the
     /// hardware/`EPA_WORKERS` default — how benches and the determinism
     /// tests measure 1/4/8-worker throughput on arbitrary machines.
     #[must_use]
@@ -212,10 +210,10 @@ impl Suite {
     /// Executes every registered campaign, streaming each [`SuiteEvent`] to
     /// `on_event` as it is produced. Every campaign's planning and injected
     /// runs share **one suite-wide [`Executor`] queue** bounded by
-    /// `available_parallelism` workers (unless [`Suite::sequential`], which
-    /// runs everything inline on the calling thread); the returned report
-    /// is always in registration order and byte-identical between the two
-    /// paths.
+    /// `available_parallelism` workers (or [`Suite::with_workers`]; one
+    /// worker runs everything inline on the calling thread); the returned
+    /// report is always in registration order and byte-identical for every
+    /// worker count.
     pub fn execute_with(&self, on_event: &mut dyn FnMut(SuiteEvent)) -> SuiteReport {
         // Every campaign plans and executes through the suite-scoped result
         // cache (unless its session already carries an explicit one).
@@ -228,261 +226,31 @@ impl Suite {
                 campaign
             })
             .collect();
-
-        if self.sequential {
-            let mut reports = Vec::with_capacity(self.entries.len());
-            for (entry, campaign) in self.entries.iter().zip(&campaigns) {
-                let name = entry.app.name().to_string();
-                on_event(SuiteEvent::AppStarted { app: name.clone() });
-                let plan = campaign.plan();
-                let report = campaign.execute_plan_with(&plan, &mut |r| {
-                    on_event(SuiteEvent::Record {
-                        app: name.clone(),
-                        record: r.clone(),
-                    });
-                });
-                on_event(SuiteEvent::AppFinished {
-                    app: name,
-                    report: report.clone(),
-                });
-                reports.push(report);
-            }
-            return SuiteReport { reports };
-        }
-
-        // The pooled path: one shared queue for the whole suite. Each
-        // application contributes a planning job; completing it runs the
-        // planner over its `(site, occurrence, fault)` jobs — cache hits
-        // and dedup aliases replay inline on the calling thread, never
-        // occupying a worker slot — and fans only the remaining canonical
-        // misses back onto the same queue, so idle workers steal across
-        // application boundaries and the slowest campaign no longer pins a
-        // whole thread. A budgeted campaign enqueues one job at a time
-        // (each pick feeds on the previous outcome) while other campaigns
-        // keep the workers busy.
         for entry in &self.entries {
             on_event(SuiteEvent::AppStarted {
                 app: entry.app.name().to_string(),
             });
         }
-        let mut slots: Vec<AppSlot> = (0..self.entries.len()).map(|_| AppSlot::default()).collect();
-        let seed: Vec<SuiteJob> = (0..self.entries.len()).map(SuiteJob::Plan).collect();
         let executor = match self.workers {
             Some(w) => Executor::with_workers(w),
             None => Executor::new(),
         };
-        executor.run_expanding(
-            seed,
-            |job| match job {
-                SuiteJob::Plan(app) => SuiteDone::Planned {
+        let bound = campaigns.iter().map(Bound::new).collect();
+        let reports = drive(&executor, bound, &mut |i, progress| {
+            let app = self.entries[i].app.name().to_string();
+            on_event(match progress {
+                Progress::Record(record) => SuiteEvent::Record {
                     app,
-                    plan: Box::new(campaigns[app].plan()),
+                    record: record.clone(),
                 },
-                SuiteJob::Inject { app, idx, plan } => SuiteDone::Ran {
+                Progress::Finished(report) => SuiteEvent::AppFinished {
                     app,
-                    idx,
-                    // Claim-aware: when several suites share one cache, a
-                    // run another suite is executing right now is waited
-                    // out and replayed instead of duplicated.
-                    record: campaigns[app].run_job_cached(&plan),
+                    report: report.clone(),
                 },
-            },
-            &mut |done| match done {
-                SuiteDone::Planned { app, plan } => {
-                    let name = self.entries[app].app.name();
-                    let jobs = plan.jobs();
-                    let schedule = campaigns[app].schedule(&jobs);
-                    let slot = &mut slots[app];
-                    slot.records = (0..jobs.len()).map(|_| None).collect();
-                    slot.budget_left = campaigns[app].plan_budget();
-                    slot.budgeted = slot.budget_left.is_some();
-                    slot.remaining = schedule.pending.clone();
-                    slot.plan = Some(plan);
-                    // Statically pruned jobs (and their aliases) resolve
-                    // inline from their synthesized clean-run digests.
-                    for (idx, digest) in &schedule.pruned {
-                        for &i in std::iter::once(idx).chain(schedule.aliases_of(*idx)) {
-                            let record = digest.replay_pruned(&jobs[i]);
-                            slot.stats.observe(record.category, !record.tolerated());
-                            on_event(SuiteEvent::Record {
-                                app: name.to_string(),
-                                record: record.clone(),
-                            });
-                            slot.records[i] = Some(record);
-                        }
-                    }
-                    // Cache replays (and their aliases) resolve inline.
-                    for (idx, digest) in &schedule.resolved {
-                        for &i in std::iter::once(idx).chain(schedule.aliases_of(*idx)) {
-                            let record = digest.replay(&jobs[i]);
-                            slot.stats.observe(record.category, !record.tolerated());
-                            on_event(SuiteEvent::Record {
-                                app: name.to_string(),
-                                record: record.clone(),
-                            });
-                            slot.records[i] = Some(record);
-                        }
-                    }
-                    slot.jobs = jobs;
-                    slot.schedule = Some(schedule);
-                    let follow_ups = slot.enqueue_next(app);
-                    if slot.idle() {
-                        finish_app(&campaigns[app], name, slot, on_event);
-                    }
-                    follow_ups
-                }
-                SuiteDone::Ran { app, idx, record } => {
-                    let name = self.entries[app].app.name();
-                    on_event(SuiteEvent::Record {
-                        app: name.to_string(),
-                        record: record.clone(),
-                    });
-                    let slot = &mut slots[app];
-                    let schedule = slot.schedule.as_ref().expect("schedule arrives before its records");
-                    slot.stats.observe(record.category, !record.tolerated());
-                    let digest = RunDigest::of(&record);
-                    campaigns[app].memoize(schedule.key(idx), digest.clone());
-                    for &alias in schedule.aliases_of(idx) {
-                        let replay = digest.replay(&slot.jobs[alias]);
-                        on_event(SuiteEvent::Record {
-                            app: name.to_string(),
-                            record: replay.clone(),
-                        });
-                        slot.records[alias] = Some(replay);
-                    }
-                    slot.records[idx] = Some(record);
-                    slot.outstanding -= 1;
-                    let follow_ups = slot.enqueue_next(app);
-                    if slot.idle() {
-                        finish_app(&campaigns[app], name, slot, on_event);
-                    }
-                    follow_ups
-                }
-            },
-        );
-        SuiteReport {
-            reports: slots
-                .into_iter()
-                .map(|s| s.report.expect("every campaign completes"))
-                .collect(),
-        }
+            });
+        });
+        SuiteReport { reports }
     }
-}
-
-/// One unit of suite work on the shared queue.
-enum SuiteJob {
-    /// Trace application `app` and build its fault plan.
-    Plan(usize),
-    /// Run injection job `idx` of application `app`'s plan.
-    Inject {
-        app: usize,
-        idx: usize,
-        plan: InjectionPlan,
-    },
-}
-
-/// A completed unit of suite work, back on the calling thread.
-enum SuiteDone {
-    Planned {
-        app: usize,
-        plan: Box<CampaignPlan>,
-    },
-    Ran {
-        app: usize,
-        idx: usize,
-        record: FaultRecord,
-    },
-}
-
-/// Per-application assembly state while the pooled suite runs.
-#[derive(Default)]
-struct AppSlot {
-    plan: Option<Box<CampaignPlan>>,
-    jobs: Vec<InjectionPlan>,
-    schedule: Option<Schedule>,
-    records: Vec<Option<FaultRecord>>,
-    /// Pending canonical job indices not yet handed to the queue.
-    remaining: Vec<usize>,
-    /// Jobs on the queue (or running) whose results are still due.
-    outstanding: usize,
-    /// Runs this campaign may still execute (`None` = unbudgeted).
-    budget_left: Option<usize>,
-    /// Whether a budget was ever in force (a budget may legitimately leave
-    /// record slots empty; an unbudgeted campaign must fill every one).
-    budgeted: bool,
-    stats: YieldStats,
-    report: Option<CampaignReport>,
-}
-
-impl AppSlot {
-    /// Moves schedulable canonical jobs from `remaining` onto the shared
-    /// queue: all of them in plan order (exhaustive), or exactly one chosen
-    /// by observed verdict yield (budgeted — each pick feeds on the
-    /// previous outcome, so at most one of this campaign's jobs is in
-    /// flight while other campaigns keep the workers busy).
-    fn enqueue_next(&mut self, app: usize) -> Vec<SuiteJob> {
-        match self.budget_left {
-            None => {
-                let drained = std::mem::take(&mut self.remaining);
-                self.outstanding += drained.len();
-                drained
-                    .into_iter()
-                    .map(|idx| SuiteJob::Inject {
-                        app,
-                        idx,
-                        plan: self.jobs[idx].clone(),
-                    })
-                    .collect()
-            }
-            Some(0) => {
-                self.remaining.clear();
-                Vec::new()
-            }
-            Some(ref mut budget) => {
-                if self.remaining.is_empty() || self.outstanding > 0 {
-                    return Vec::new();
-                }
-                *budget -= 1;
-                let pos = self.stats.pick(&self.remaining, &self.jobs);
-                let idx = self.remaining.remove(pos);
-                self.outstanding = 1;
-                vec![SuiteJob::Inject {
-                    app,
-                    idx,
-                    plan: self.jobs[idx].clone(),
-                }]
-            }
-        }
-    }
-
-    /// True once planning happened, nothing is in flight, and nothing more
-    /// will be enqueued — i.e. the campaign is ready to fold into a report.
-    fn idle(&self) -> bool {
-        self.schedule.is_some() && self.outstanding == 0 && self.remaining.is_empty() && self.report.is_none()
-    }
-}
-
-/// Folds a finished application's records (already in plan order by index)
-/// into its report and emits `AppFinished`.
-fn finish_app(campaign: &Campaign<'_>, name: &str, slot: &mut AppSlot, on_event: &mut dyn FnMut(SuiteEvent)) {
-    let plan = slot.plan.take().expect("plan arrives before its records");
-    // Only a budget may legitimately drop jobs; an unbudgeted campaign
-    // missing a record is an accounting bug and must fail loudly, not
-    // silently truncate the report.
-    let records: Vec<FaultRecord> = if slot.budgeted {
-        slot.records.drain(..).flatten().collect()
-    } else {
-        slot.records
-            .drain(..)
-            .map(|r| r.expect("all records complete before the app finishes"))
-            .collect()
-    };
-    let report = campaign.report_from(&plan, records);
-    on_event(SuiteEvent::AppFinished {
-        app: name.to_string(),
-        report: report.clone(),
-    });
-    slot.report = Some(report);
 }
 
 /// The aggregated outcome of a suite run: per-application reports in

@@ -88,10 +88,10 @@ pub mod report;
 pub mod store;
 
 pub use analysis::{lint_scenario, lint_setup, AppAnalysis, Diagnostic, LintReport, Relevance, Severity};
-pub use campaign::{run_once, run_once_batch_oracle, Campaign, CampaignOptions, CampaignPlan, RunOutcome, TestSetup};
+pub use campaign::{run_once, CampaignOptions, CampaignPlan, RunOutcome, TestSetup};
 pub use catalog::{direct_faults_for, faults_for_site, indirect_faults_for, table5_rows, table6_rows};
 pub use coverage::{AdequacyPoint, AdequacyRegion, AdequacyThresholds, Ratio};
-pub use engine::{Engine, ScenarioBuilder, Session, SpecError, Suite, SuiteEvent, SuiteReport, WorldSpec};
+pub use engine::{ScenarioBuilder, Session, SpecError, Suite, SuiteEvent, SuiteReport, WorldSpec};
 pub use inject::{InjectionHook, InjectionPlan};
 pub use model::{DirectKind, EaiCategory, FsAttribute, IndirectKind, NetAttribute, ProcAttribute};
 pub use perturb::{ConcreteFault, DirectFault, FaultPayload, IndirectFault};

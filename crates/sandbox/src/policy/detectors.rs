@@ -1,7 +1,7 @@
 //! The standard detector units: one named [`Detector`] per policy family.
 //!
 //! Each unit owns exactly one rule family of the retired monolithic
-//! `PolicyEngine::check_event` dispatch; [`super::OracleSet::standard`]
+//! policy-engine `check_event` dispatch; [`super::OracleSet::standard`]
 //! registers all eight. Every verdict carries an [`Evidence`] chain
 //! snapshotting the implicated audit event, so reports can point back at
 //! the exact syscall effects that prove the violation.

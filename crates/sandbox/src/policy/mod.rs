@@ -21,8 +21,9 @@
 //! ([`crate::audit::AuditLog::attach_oracle`]), every
 //! [`crate::audit::AuditLog::push`] streams the event to the set, and the
 //! verdict list is ready the moment the run ends — no post-hoc re-scan of
-//! the full log per rule family. [`PolicyEngine::evaluate`] remains as a
-//! deprecated batch shim over the standard set.
+//! the full log per rule family. [`OracleSet::evaluate_log`] scans a
+//! completed log instead: it is the reference implementation tests compare
+//! the incremental path against.
 //!
 //! The rules are deliberately written so that a **clean (unperturbed) run of
 //! a well-configured world produces zero violations**; campaign code asserts
@@ -292,8 +293,8 @@ pub trait Detector: Send + Sync {
 /// A composable set of [`Detector`]s — the oracle an engine run evaluates
 /// against.
 ///
-/// The [`OracleSet::standard`] set reproduces the historical
-/// [`PolicyEngine`] violations exactly in content and count (the order is
+/// The [`OracleSet::standard`] set reproduces the historical monolithic
+/// policy engine's violations exactly in content and count (the order is
 /// the pipeline's canonical (first-evidence-index, kind) sort, which can
 /// differ from the old engine's rule-check order within one event);
 /// scenarios extend it with [`invariant::InvariantSpec`] detectors or any
@@ -430,34 +431,6 @@ impl Default for OracleSet {
 impl fmt::Debug for OracleSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OracleSet").field("detectors", &self.names()).finish()
-    }
-}
-
-/// The retired monolithic oracle, kept as a thin shim over
-/// [`OracleSet::standard`] so existing callers keep reproducing the paper's
-/// numbers unchanged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PolicyEngine;
-
-impl PolicyEngine {
-    /// Creates the engine.
-    pub fn new() -> Self {
-        PolicyEngine
-    }
-
-    /// Evaluates the standard rule set against the log, returning the bare
-    /// violations in the pipeline's deterministic order.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `OracleSet::standard()` (incremental via `AuditLog::attach_oracle`, batch via `evaluate_log`) \
-                to keep the evidence chains this shim discards"
-    )]
-    pub fn evaluate(&self, log: &AuditLog) -> Vec<Violation> {
-        OracleSet::standard()
-            .evaluate_log(log)
-            .into_iter()
-            .map(|v| v.violation)
-            .collect()
     }
 }
 
@@ -674,26 +647,6 @@ mod tests {
         });
         let v = eval(&log);
         assert_eq!(v[0].kind, ViolationKind::MemoryCorruption);
-    }
-
-    #[test]
-    fn policy_engine_shim_matches_pipeline_violations() {
-        let mut log = AuditLog::new();
-        let mut w = clean_write(suid_cred());
-        w.path = "/etc/passwd".into();
-        w.existed_before = true;
-        log.push(AuditEvent::FileWrite(w));
-        log.push(AuditEvent::MemoryCorruption {
-            buffer: "b".into(),
-            capacity: 8,
-            attempted: 64,
-            by: Credentials::root(),
-        });
-        #[allow(deprecated)]
-        let shim = PolicyEngine::new().evaluate(&log);
-        let pipeline: Vec<Violation> = eval(&log).into_iter().map(|v| v.violation).collect();
-        assert_eq!(shim, pipeline);
-        assert_eq!(shim.len(), 2);
     }
 
     #[test]

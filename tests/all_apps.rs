@@ -3,8 +3,7 @@
 //! `engine::Session` facade over each app's exported `WorldSpec`.
 
 use epa::apps::*;
-use epa::core::campaign::CampaignOptions;
-use epa::core::engine::{Session, WorldSpec};
+use epa::core::engine::{Session, Suite, WorldSpec};
 use epa::sandbox::app::Application;
 
 fn all_cases() -> Vec<(&'static dyn Application, &'static dyn Application, WorldSpec)> {
@@ -87,12 +86,9 @@ fn fully_fixable_apps_reach_full_fault_coverage() {
 fn parallel_campaigns_agree_with_sequential_everywhere() {
     for (app, _, spec) in all_cases() {
         let seq = session(&spec).execute(app);
-        let par = session(&spec)
-            .with_options(CampaignOptions {
-                parallel: true,
-                ..Default::default()
-            })
-            .execute(app);
+        let mut suite = Suite::new().with_workers(4);
+        suite.register_session(app, session(&spec));
+        let par = suite.execute().reports.remove(0);
         assert_eq!(seq.injected(), par.injected(), "{}", app.name());
         assert_eq!(seq.violated(), par.violated(), "{}", app.name());
         let seq_v: Vec<_> = seq.violations().map(|r| r.fault_id.clone()).collect();
@@ -108,20 +104,6 @@ fn campaigns_are_deterministic() {
         let a = s.execute(app);
         let b = s.execute(app);
         assert_eq!(a, b, "{}", app.name());
-    }
-}
-
-#[test]
-fn engine_sessions_match_the_deprecated_campaign_shim() {
-    // The migration contract: `Campaign::new(&app, &setup).execute()` and
-    // `Session::new(&spec)?.execute(&app)` produce identical reports.
-    #![allow(deprecated)]
-    use epa::core::campaign::Campaign;
-    for (app, _, spec) in all_cases() {
-        let setup = spec.materialize().expect("valid spec");
-        let legacy = Campaign::new(app, &setup).execute();
-        let engine = session(&spec).execute(app);
-        assert_eq!(legacy, engine, "{}", app.name());
     }
 }
 

@@ -1,15 +1,10 @@
-//! Integration: the §3.4 lpr walkthrough.
-//!
-//! Deliberately driven through the deprecated `Campaign::new(...).execute()`
-//! shim: the engine redesign keeps the old constructor as a thin layer over
-//! `engine::Session`, and this file is the regression proof that the shim
-//! still reproduces the paper's numbers (4 injected / 4 violated at the
-//! create site). New code should use `epa::core::engine::{Session, Suite}`.
-
-#![allow(deprecated)]
+//! Integration: the §3.4 lpr walkthrough, driven through `engine::Session`
+//! (4 injected / 4 violated at the create site) and pinned again through a
+//! pooled `engine::Suite`.
 
 use epa::apps::{worlds, Lpr, LprFixed};
-use epa::core::campaign::{Campaign, CampaignOptions};
+use epa::core::campaign::CampaignOptions;
+use epa::core::engine::{Session, Suite};
 use epa::sandbox::trace::SiteId;
 use std::collections::BTreeSet;
 
@@ -22,10 +17,13 @@ fn create_site_only() -> CampaignOptions {
     }
 }
 
+fn session(options: CampaignOptions) -> Session {
+    Session::from_setup(worlds::lpr_world()).with_options(options)
+}
+
 #[test]
 fn four_applicable_attributes_all_violate() {
-    let setup = worlds::lpr_world();
-    let report = Campaign::new(&Lpr, &setup).with_options(create_site_only()).execute();
+    let report = session(create_site_only()).execute(&Lpr);
     assert_eq!(report.clean_violations, 0);
     assert_eq!(report.injected(), 4, "existence, ownership, permission, symbolic link");
     assert_eq!(report.violated(), 4, "paper: violations detected for attributes 1-4");
@@ -39,8 +37,7 @@ fn four_applicable_attributes_all_violate() {
 
 #[test]
 fn the_symlink_attack_clobbers_the_passwd_file() {
-    let setup = worlds::lpr_world();
-    let report = Campaign::new(&Lpr, &setup).with_options(create_site_only()).execute();
+    let report = session(create_site_only()).execute(&Lpr);
     let symlink = report
         .records
         .iter()
@@ -52,18 +49,14 @@ fn the_symlink_attack_clobbers_the_passwd_file() {
 
 #[test]
 fn fixed_lpr_tolerates_all_four() {
-    let setup = worlds::lpr_world();
-    let report = Campaign::new(&LprFixed, &setup)
-        .with_options(create_site_only())
-        .execute();
+    let report = session(create_site_only()).execute(&LprFixed);
     assert_eq!(report.injected(), 4);
     assert_eq!(report.violated(), 0, "{:#?}", report.violations().collect::<Vec<_>>());
 }
 
 #[test]
 fn full_lpr_campaign_also_covers_input_sites() {
-    let setup = worlds::lpr_world();
-    let report = Campaign::new(&Lpr, &setup).execute();
+    let report = session(CampaignOptions::default()).execute(&Lpr);
     assert_eq!(report.total_sites, 3, "argv, read-input, create");
     assert!(report.injected() > 4);
     assert_eq!(report.clean_violations, 0);
@@ -71,18 +64,14 @@ fn full_lpr_campaign_also_covers_input_sites() {
 
 #[test]
 fn the_executor_paths_keep_the_paper_numbers() {
-    use epa::core::engine::{Session, Suite};
-    // Through the campaign-level pool (parallel plan execution)...
-    let session = Session::from_setup(worlds::lpr_world()).with_options(CampaignOptions {
-        parallel: true,
-        ..create_site_only()
-    });
-    let pooled = session.execute(&Lpr);
-    assert_eq!(pooled.injected(), 4, "existence, ownership, permission, symbolic link");
-    assert_eq!(pooled.violated(), 4, "paper: violations detected for attributes 1-4");
+    // Inline on the calling thread...
+    let session = session(create_site_only());
+    let inline = session.execute(&Lpr);
+    assert_eq!(inline.injected(), 4, "existence, ownership, permission, symbolic link");
+    assert_eq!(inline.violated(), 4, "paper: violations detected for attributes 1-4");
     // ...and through the suite-wide shared queue, the numbers hold.
-    let mut suite = Suite::new();
+    let mut suite = Suite::new().with_workers(4);
     suite.register_session(Lpr, session);
     let batch = suite.execute();
-    assert_eq!(batch.get("lpr").expect("lpr report"), &pooled);
+    assert_eq!(batch.get("lpr").expect("lpr report"), &inline);
 }

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use epa::apps::*;
 use epa::core::campaign::CampaignOptions;
-use epa::core::engine::{Engine, SuiteEvent, SuiteReport};
+use epa::core::engine::{Session, Suite, SuiteEvent, SuiteReport};
 
 #[test]
 fn the_standard_suite_runs_all_eight_apps_in_one_batch() {
@@ -102,31 +102,60 @@ fn suite_runs_are_deterministic() {
 
 #[test]
 fn engine_options_propagate_to_sessions() {
-    let engine = Engine::new().with_options(CampaignOptions {
-        max_sites: Some(1),
-        ..Default::default()
-    });
-    let session = engine.session(&lpr::spec()).expect("valid spec");
+    let session = Session::new(&lpr::spec())
+        .expect("valid spec")
+        .with_options(CampaignOptions {
+            max_sites: Some(1),
+            ..Default::default()
+        });
     let report = session.execute(&Lpr);
-    assert_eq!(report.perturbed_sites, 1, "engine options reached the campaign");
+    assert_eq!(report.perturbed_sites, 1, "session options reached the campaign");
     assert!(report.interaction_coverage().value_or(1.0) < 1.0);
 }
 
 #[test]
 fn engine_builds_suites_from_heterogeneous_pairs() {
-    use epa::sandbox::app::Application;
-    let engine = Engine::new();
-    let suite = engine
-        .suite_of(vec![
-            (Box::new(Lpr) as Box<dyn Application + Send + Sync>, lpr::spec()),
-            (Box::new(Turnin), turnin::spec()),
-        ])
-        .expect("valid specs");
+    let mut suite = Suite::new();
+    suite.register(Lpr, &lpr::spec()).expect("valid spec");
+    suite.register(Turnin, &turnin::spec()).expect("valid spec");
     assert_eq!(suite.apps(), vec!["lpr", "turnin"]);
     let report = suite.execute();
     assert_eq!(report.reports.len(), 2);
     assert!(report.get("lpr").unwrap().violated() > 0);
     assert_eq!(report.get("turnin").unwrap().violated(), 9);
+}
+
+#[test]
+fn budgeted_suites_charge_only_executed_runs() {
+    // `plan_budget` caps executed runs; replays are free. Registering the
+    // same campaign twice makes the second replay whatever the first
+    // already executed (shared scope, shared suite cache) — claim replays
+    // included, whichever worker count interleaves the two.
+    let budgeted = CampaignOptions {
+        plan_budget: Some(2),
+        ..Default::default()
+    };
+    for workers in [1usize, 2, 4] {
+        for _ in 0..20 {
+            let mut suite = Suite::new().with_workers(workers);
+            for _ in 0..2 {
+                let session = Session::new(&lpr::spec()).expect("valid spec");
+                suite.register_session(Lpr, session.with_options(budgeted.clone()));
+            }
+            let report = suite.execute();
+            for r in &report.reports {
+                assert_eq!(
+                    r.runs_executed(),
+                    2,
+                    "workers={workers}: {}:{}/{}/{} (injected:executed/replayed/pruned)",
+                    r.injected(),
+                    r.runs_executed(),
+                    r.cache_hits(),
+                    r.pruned()
+                );
+            }
+        }
+    }
 }
 
 #[test]

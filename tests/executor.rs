@@ -97,16 +97,11 @@ fn campaign_parallelism_also_respects_the_ceiling() {
     let _guard = POOL_LOCK.lock().unwrap();
     executor::reset_peak_live_workers();
     use epa::apps::{turnin, Turnin};
-    use epa::core::campaign::CampaignOptions;
-    use epa::core::engine::Session;
-    let report = Session::new(&turnin::spec())
-        .expect("valid spec")
-        .with_options(CampaignOptions {
-            parallel: true,
-            ..Default::default()
-        })
-        .execute(&Turnin);
-    assert_eq!(report.injected(), 41);
+    use epa::core::engine::Suite;
+    let mut suite = Suite::new();
+    suite.register(Turnin, &turnin::spec()).expect("valid spec");
+    let report = suite.execute();
+    assert_eq!(report.get("turnin").expect("turnin report").injected(), 41);
     assert!(
         executor::peak_live_workers() <= available(),
         "campaign pool exceeded available_parallelism"

@@ -1,13 +1,10 @@
 //! Integration: failure injection against the harness itself — campaigns
 //! must survive misbehaving applications and broken worlds.
 
-// `Campaign::new` is exercised deliberately: the deprecated shim must stay
-// as robust as the engine layer on top of it.
-#![allow(deprecated)]
-
 use std::collections::BTreeMap;
 
-use epa::core::campaign::{run_once, Campaign, TestSetup};
+use epa::core::campaign::{run_once, TestSetup};
+use epa::core::engine::Session;
 use epa::sandbox::app::Application;
 use epa::sandbox::cred::{Gid, Uid};
 use epa::sandbox::mode::Mode;
@@ -30,7 +27,10 @@ fn tiny_world() -> TestSetup {
     os.fs
         .put_file("/etc/conf", "x=1", Uid::ROOT, Gid::ROOT, Mode::new(0o644))
         .unwrap();
-    TestSetup::new(os).cwd("/home/u")
+    TestSetup {
+        cwd: "/home/u".into(),
+        ..TestSetup::new(os)
+    }
 }
 
 struct Panicker;
@@ -47,7 +47,7 @@ impl Application for Panicker {
 #[test]
 fn campaigns_survive_panicking_applications() {
     let setup = tiny_world();
-    let report = Campaign::new(&Panicker, &setup).execute();
+    let report = Session::from_setup(setup).execute(&Panicker);
     // Every record exists, carries the panic payload, and the harness
     // completed.
     assert!(report.injected() > 0);
@@ -142,7 +142,7 @@ fn campaign_with_no_interaction_points_is_empty_not_broken() {
         }
     }
     let setup = tiny_world();
-    let report = Campaign::new(&Inert, &setup).execute();
+    let report = Session::from_setup(setup).execute(&Inert);
     assert_eq!(report.total_sites, 0);
     assert_eq!(report.injected(), 0);
     assert_eq!(report.vulnerability_score(), 0.0);
