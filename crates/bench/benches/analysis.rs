@@ -12,11 +12,15 @@
 //! with pruning off/on under otherwise identical options and asserts
 //! byte-identical streams there too. Writes `BENCH_analysis.json`: plan
 //! sizes, executed-run counts, the reduction percentages, and the
-//! cold-suite wall-clocks.
+//! cold-suite wall-clocks of each configuration (median and minimum of
+//! [`SAMPLES`] cold passes, run in interleaved rounds so host drift hits
+//! every configuration alike).
 //!
-//! Gates: verdict equality on every app and every scenario, and a >= 20%
+//! Gates: verdict equality on every app and every scenario, a >= 20%
 //! reduction in executed runs on the standard suite's cold pass relative
-//! to the occurrence-exhaustive baseline.
+//! to the occurrence-exhaustive baseline, and a pruner that pays for
+//! itself: the pruned suite's median wall-clock is at most 1.5x the
+//! planned (dedup-only) suite's.
 
 use std::time::Instant;
 
@@ -50,6 +54,43 @@ fn cold_suite(options: &CampaignOptions) -> (Vec<CampaignReport>, u128) {
     (report.reports, start.elapsed().as_nanos())
 }
 
+/// Cold passes timed per configuration.
+const SAMPLES: usize = 21;
+
+/// The wall-clock of one configuration over its cold passes.
+struct Timing {
+    median_ns: u128,
+    min_ns: u128,
+}
+
+impl Timing {
+    fn of(mut samples: Vec<u128>) -> Timing {
+        samples.sort_unstable();
+        Timing {
+            median_ns: samples[samples.len() / 2],
+            min_ns: samples[0],
+        }
+    }
+}
+
+/// Runs [`SAMPLES`] rounds of one cold pass per configuration: the first
+/// round's reports and each configuration's timing, in `configs` order.
+fn timed_suites<const N: usize>(configs: [&CampaignOptions; N]) -> [(Vec<CampaignReport>, Timing); N] {
+    let mut first: [Vec<CampaignReport>; N] = std::array::from_fn(|_| Vec::new());
+    let mut times: [Vec<u128>; N] = std::array::from_fn(|_| Vec::with_capacity(SAMPLES));
+    for round in 0..SAMPLES {
+        for (i, options) in configs.iter().enumerate() {
+            let (reports, ns) = cold_suite(options);
+            times[i].push(ns);
+            if round == 0 {
+                first[i] = reports;
+            }
+        }
+    }
+    let mut times = times.into_iter();
+    first.map(|reports| (reports, Timing::of(times.next().expect("one timing per configuration"))))
+}
+
 fn main() {
     let exhaustive_options = CampaignOptions {
         dedup: false,
@@ -65,9 +106,10 @@ fn main() {
     assert!(pruned_options.static_prune, "static pruning is the default");
 
     // The standard suite, cold: occurrence-exhaustive vs planned vs pruned.
-    let (exhaustive, exhaustive_ns) = cold_suite(&exhaustive_options);
-    let (planned, _) = cold_suite(&planned_options);
-    let (pruned, pruned_ns) = cold_suite(&pruned_options);
+    let [(exhaustive, exhaustive_t), (planned, planned_t), (pruned, pruned_t)] =
+        timed_suites([&exhaustive_options, &planned_options, &pruned_options]);
+    let (exhaustive_ns, planned_ns, pruned_ns) = (exhaustive_t.median_ns, planned_t.median_ns, pruned_t.median_ns);
+    let prune_overhead = pruned_ns as f64 / planned_ns.max(1) as f64;
     assert_eq!(exhaustive.len(), pruned.len());
     assert_eq!(planned.len(), pruned.len());
     for ((e, n), p) in exhaustive.iter().zip(&planned).zip(&pruned) {
@@ -135,11 +177,16 @@ fn main() {
          \"exhaustive_runs\": {exhaustive_runs},\n    \"planned_runs\": {planned_runs},\n    \
          \"pruned_runs\": {pruned_runs},\n    \"pruned_records\": {pruned_records},\n    \
          \"reduction_pct\": {reduction_pct:.2},\n    \"prune_only_pct\": {prune_only_pct:.2},\n    \
-         \"exhaustive_ns\": {exhaustive_ns},\n    \"pruned_ns\": {pruned_ns}\n  }},\n  \"corpus\": {{\n    \
+         \"samples\": {SAMPLES},\n    \"exhaustive_ns\": {exhaustive_ns},\n    \"planned_ns\": {planned_ns},\n    \
+         \"pruned_ns\": {pruned_ns},\n    \"exhaustive_min_ns\": {},\n    \"planned_min_ns\": {},\n    \
+         \"pruned_min_ns\": {}\n  }},\n  \"corpus\": {{\n    \
          \"seed\": {},\n    \"scenarios\": {},\n    \"injected\": {corpus_injected},\n    \
          \"pruned_records\": {corpus_pruned},\n    \"pruned_pct\": {corpus_pruned_pct:.2},\n    \
          \"divergences\": 0\n  }}\n}}\n",
         exhaustive.len(),
+        exhaustive_t.min_ns,
+        planned_t.min_ns,
+        pruned_t.min_ns,
         config.seed,
         config.count
     );
@@ -148,8 +195,8 @@ fn main() {
         .join("BENCH_analysis.json");
     match std::fs::write(&path, &json) {
         Ok(()) => println!(
-            "wrote {} (suite: {exhaustive_runs} -> {pruned_runs} runs, -{reduction_pct:.1}%; \
-             corpus: {corpus_pruned}/{corpus_injected} pruned)",
+            "wrote {} (suite: {exhaustive_runs} -> {pruned_runs} runs, -{reduction_pct:.1}%, \
+             pruned/planned wall-clock {prune_overhead:.2}x; corpus: {corpus_pruned}/{corpus_injected} pruned)",
             path.display()
         ),
         Err(e) => eprintln!("BENCH_analysis.json not written: {e}"),
@@ -166,5 +213,10 @@ fn main() {
     assert!(
         corpus_pruned > 0,
         "the analyzer must prove at least one corpus job inert"
+    );
+    assert!(
+        prune_overhead <= 1.5,
+        "the pruned suite must cost at most 1.5x the planned (dedup-only) suite's wall-clock \
+         (medians of {SAMPLES}: {pruned_ns} ns vs {planned_ns} ns, {prune_overhead:.2}x)"
     );
 }

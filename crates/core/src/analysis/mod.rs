@@ -34,14 +34,17 @@
 //! byte-identical up to the moment the fault first acts. Four proof shapes
 //! are used, each carried as a [`Justification`]:
 //!
-//! - **State no-op** (direct faults). The fault is applied to a scratch
-//!   copy of the pristine world; if the serialized file-system, registry,
-//!   and network state is unchanged, the application is a no-op *on the
-//!   pristine state*. The proof transfers to injection time iff nothing in
-//!   the clean-trace prefix before the strike point could have changed the
-//!   state the fault reads (its *guard set*): no mutation of the target
-//!   path, no alias-structure change (rename/symlink/unlink-of-a-link),
-//!   no `..`-ambiguity. When any of those occur the job stays
+//! - **State no-op** (direct faults). The fault is applied to a
+//!   copy-on-write snapshot of the pristine world; if the file-system,
+//!   registry, and network state compares structurally equal to the
+//!   pristine state, the application is a no-op *on the pristine state*.
+//!   The comparison is exact (no hashing) and cheap: every table the fault
+//!   left untouched is still shared with the pristine world, and equal
+//!   `Arc`s compare by pointer. The proof transfers to injection time iff
+//!   nothing in the clean-trace prefix before the strike point could have
+//!   changed the state the fault reads (its *guard set*): no mutation of
+//!   the target path, no alias-structure change
+//!   (rename/symlink/unlink-of-a-link), no `..`-ambiguity. When any of those occur the job stays
 //!   [`Relevance::Unknown`] and executes normally.
 //! - **Grants preserved** (the chown direct faults). Re-owning a file
 //!   *does* change state, but the change is unobservable when the target
@@ -77,7 +80,6 @@ pub mod statics;
 pub use lint::{lint_scenario, lint_setup, Diagnostic, LintReport, Severity};
 pub use statics::{static_model, StaticModel, StaticSite};
 
-use shim_sync::sync::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
@@ -93,7 +95,7 @@ use epa_sandbox::process::Pid;
 use epa_sandbox::trace::{ObjectRef, OpKind, SiteId, TraceEvent};
 
 use crate::campaign::{RunOutcome, TestSetup};
-use crate::engine::planner::{fnv1a, RunDigest};
+use crate::engine::planner::RunDigest;
 use crate::inject::InjectionPlan;
 use crate::perturb::{DirectFault, FaultPayload, IndirectFault};
 
@@ -294,13 +296,11 @@ fn footprint(fault: &DirectFault) -> Footprint {
     }
 }
 
-/// Content fingerprint of the mutable world substrate (file system,
-/// registry, network) — the state a direct fault can touch.
-fn state_fingerprint(os: &Os) -> u64 {
-    let fs = serde_json::to_string(&os.fs).expect("vfs serializes");
-    let registry = serde_json::to_string(&os.registry).expect("registry serializes");
-    let net = serde_json::to_string(&os.net).expect("network serializes");
-    fnv1a(format!("{fs}\n{registry}\n{net}").as_bytes())
+/// Whether `probe` holds the same mutable world substrate (file system,
+/// registry, network) as `pristine` — the state a direct fault can touch.
+/// Copy-on-write tables still shared between the two compare in O(1).
+fn same_state(probe: &Os, pristine: &Os) -> bool {
+    probe.fs == pristine.fs && probe.registry == pristine.registry && probe.net == pristine.net
 }
 
 /// Physical forms of `path` against `fs`: `(final-symlink-kept, fully
@@ -342,8 +342,9 @@ fn lexical_fallback(fs: &Vfs, p: &str) -> String {
 /// ready to classify any planned fault job.
 ///
 /// Built once per campaign plan (the clean run the plan already performs is
-/// the model input) and shared read-only afterwards; classifications are
-/// memoized per canonical job content.
+/// the model input) and shared read-only afterwards; [`AppAnalysis::classify`]
+/// is a pure function of the job, so the planner consults it once per
+/// canonical job and nothing is cached.
 pub struct AppAnalysis {
     events: Vec<EventFact>,
     by_site: BTreeMap<SiteId, Vec<usize>>,
@@ -353,7 +354,6 @@ pub struct AppAnalysis {
     /// alias-stable.
     hazard_from: usize,
     pristine: Os,
-    pristine_fp: u64,
     /// The spawn argument vector (immutable for the whole run).
     setup_args: Vec<String>,
     /// The spawn environment (immutable: the sandbox has no `setenv`).
@@ -365,7 +365,6 @@ pub struct AppAnalysis {
     clean_crashed: Option<String>,
     clean_audit_events: usize,
     clean_violations: Vec<epa_sandbox::policy::Verdict>,
-    memo: Mutex<BTreeMap<String, Relevance>>,
 }
 
 impl std::fmt::Debug for AppAnalysis {
@@ -403,7 +402,6 @@ impl AppAnalysis {
             by_site.entry(fact.site.clone()).or_default().push(events.len());
             events.push(fact);
         }
-        let pristine_fp = state_fingerprint(&pristine);
         let mut read_creds: BTreeMap<String, Vec<Credentials>> = BTreeMap::new();
         for ev in clean.os.audit.events() {
             if let AuditEvent::FileRead { path, by, .. } = ev {
@@ -415,7 +413,6 @@ impl AppAnalysis {
             by_site,
             hazard_from,
             pristine,
-            pristine_fp,
             setup_args: setup.args.clone(),
             setup_env: setup.env.clone(),
             read_creds,
@@ -423,7 +420,6 @@ impl AppAnalysis {
             clean_crashed: clean.crashed.clone(),
             clean_audit_events: clean.os.audit.len(),
             clean_violations: clean.violations.clone(),
-            memo: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -525,24 +521,10 @@ impl AppAnalysis {
     /// runs provably replay the clean outcome come back
     /// [`Relevance::ProvablyInert`].
     pub fn classify(&self, job: &InjectionPlan) -> Relevance {
-        let key = format!(
-            "{}#{}|{}",
-            job.site,
-            job.occurrence,
-            serde_json::to_string(&job.fault).expect("faults serialize")
-        );
-        if let Some(hit) = self.memo.lock().expect("analysis memo poisoned").get(&key) {
-            return hit.clone();
-        }
-        let result = match &job.fault.payload {
+        match &job.fault.payload {
             FaultPayload::Direct(df) => self.classify_direct(job, df),
             FaultPayload::Indirect(_) => self.classify_indirect(job),
-        };
-        self.memo
-            .lock()
-            .expect("analysis memo poisoned")
-            .insert(key, result.clone());
-        result
+        }
     }
 
     /// The synthesized replay digest for a provably inert job, `None` for
@@ -638,7 +620,7 @@ impl AppAnalysis {
         // state. Probe whether applying it there changes anything.
         let mut probe = self.pristine.clone();
         let applies_cleanly = df.apply(&mut probe, Pid(0)).is_ok();
-        if state_fingerprint(&probe) == self.pristine_fp {
+        if same_state(&probe, &self.pristine) {
             return Relevance::ProvablyInert {
                 applied: applies_cleanly,
                 justification: Justification::StateNoOp {
@@ -848,6 +830,9 @@ mod tests {
     use crate::engine::spec::WorldSpec;
     use epa_sandbox::app::Application;
     use epa_sandbox::cred::{Gid, Uid};
+    use epa_sandbox::data::Label;
+    use epa_sandbox::fs::FileTag;
+    use epa_sandbox::mode::Mode;
     use epa_sandbox::os::Os;
     use epa_sandbox::trace::InputSemantic;
 
@@ -873,6 +858,7 @@ mod tests {
             .user("root", Uid::ROOT, Gid::ROOT, "/root")
             .user("student", scenario.invoker, scenario.invoker_gid, "/home/student")
             .root_file("/etc/probe.conf", "mode=safe", 0o644)
+            .root_file("/etc/probe.key", "k", 0o600)
             .dir("/var", Uid::ROOT, Gid::ROOT, 0o755)
             .build()
             .materialize()
@@ -892,22 +878,140 @@ mod tests {
         }
     }
 
-    #[test]
-    fn missing_file_direct_noops_are_inert_and_existing_targets_are_relevant() {
-        let setup = setup();
-        let analysis = analysis_of(&setup);
-        let mk = |df: DirectFault| crate::perturb::ConcreteFault {
+    fn direct(df: DirectFault) -> crate::perturb::ConcreteFault {
+        crate::perturb::ConcreteFault {
             id: "t".into(),
             category: crate::model::EaiCategory::Other,
             semantic: None,
             description: String::new(),
             payload: FaultPayload::Direct(df),
+        }
+    }
+
+    /// The serialized file-system, registry and network state: the
+    /// reference the structural no-op check must agree with.
+    fn state_json(os: &Os) -> String {
+        let fs = serde_json::to_string(&os.fs).expect("vfs serializes");
+        let registry = serde_json::to_string(&os.registry).expect("registry serializes");
+        let net = serde_json::to_string(&os.net).expect("network serializes");
+        format!("{fs}\n{registry}\n{net}")
+    }
+
+    fn is_state_noop(v: &Relevance) -> bool {
+        matches!(
+            v,
+            Relevance::ProvablyInert {
+                justification: Justification::StateNoOp { .. },
+                ..
+            }
+        )
+    }
+
+    #[test]
+    fn writes_that_leave_the_state_equal_stay_state_noops() {
+        let setup = setup();
+        let analysis = analysis_of(&setup);
+        let pristine = &analysis.pristine;
+        for df in [
+            // Already root-owned.
+            DirectFault::FileChownRoot {
+                path: "/etc/probe.conf".into(),
+            },
+            // Already root:root 0600.
+            DirectFault::FilePermRestrict {
+                path: "/etc/probe.key".into(),
+            },
+        ] {
+            // The fault really writes: the target inode (and with it the
+            // inode table) is unshared from the pristine world.
+            let mut probe = pristine.clone();
+            df.apply(&mut probe, Pid(0)).expect("the fault applies");
+            assert_eq!(probe.fs.shared_inodes_with(&pristine.fs), pristine.fs.inode_count() - 1);
+            assert!(same_state(&probe, pristine), "{df:?}");
+            let v = analysis.classify(&job("probe:conf", 0, direct(df)));
+            assert!(is_state_noop(&v), "got {v:?}");
+        }
+    }
+
+    #[test]
+    fn tag_label_and_next_id_changes_are_not_noops() {
+        let setup = setup();
+        let analysis = analysis_of(&setup);
+        let pristine = &analysis.pristine;
+        let mut tagged = pristine.clone();
+        tagged.fs.tag("/etc/probe.conf", FileTag::Secret).expect("tags");
+        let mut labeled = pristine.clone();
+        let same_bytes = Data::from("mode=safe").with_label(Label::Untrusted { source: "test".into() });
+        labeled
+            .fs
+            .god_write("/etc/probe.conf", same_bytes.clone())
+            .expect("writes");
+        let mut bumped = pristine.clone();
+        bumped
+            .fs
+            .put_file("/var/scratch", "", Uid::ROOT, Gid::ROOT, Mode::new(0o644))
+            .expect("creates");
+        bumped.fs.god_remove("/var/scratch").expect("removes");
+        assert_eq!(bumped.fs.inode_count(), pristine.fs.inode_count());
+        for (what, changed) in [("tag", &tagged), ("label", &labeled), ("next_id", &bumped)] {
+            assert!(!same_state(changed, pristine), "a {what}-only change compared equal");
+            assert_ne!(state_json(changed), state_json(pristine), "{what}");
+        }
+
+        // Through the classifier: rewriting a labeled file with identical
+        // bytes drops only the label, and that is a real perturbation.
+        let mut setup = setup;
+        setup.world.fs.god_write("/etc/probe.conf", same_bytes).expect("writes");
+        let analysis = analysis_of(&setup);
+        let rewrite = DirectFault::ModifyContent {
+            path: "/etc/probe.conf".into(),
+            content: "mode=safe".into(),
         };
+        assert_eq!(
+            analysis.classify(&job("probe:conf", 0, direct(rewrite))),
+            Relevance::Relevant
+        );
+    }
+
+    #[test]
+    fn structural_noop_check_agrees_with_the_serialized_state() {
+        let setup = setup();
+        let analysis = analysis_of(&setup);
+        let pristine = &analysis.pristine;
+        let plan = Campaign::new(&Probe, &setup, CampaignOptions::default()).plan();
+        let (mut equal, mut changed) = (0usize, 0usize);
+        for job in plan.jobs() {
+            let FaultPayload::Direct(df) = &job.fault.payload else {
+                continue;
+            };
+            let mut probe = pristine.clone();
+            let _ = df.apply(&mut probe, Pid(0));
+            let same = same_state(&probe, pristine);
+            assert_eq!(same, state_json(&probe) == state_json(pristine), "{}", job.fault.id);
+            if is_state_noop(&analysis.classify(&job)) {
+                assert!(same, "{} proven a no-op on a changed state", job.fault.id);
+            }
+            if same {
+                equal += 1;
+            } else {
+                changed += 1;
+            }
+        }
+        assert!(
+            equal > 0 && changed > 0,
+            "{equal} equal / {changed} changed direct jobs"
+        );
+    }
+
+    #[test]
+    fn missing_file_direct_noops_are_inert_and_existing_targets_are_relevant() {
+        let setup = setup();
+        let analysis = analysis_of(&setup);
         // Removing a file that is not there is a no-op.
         let inert = analysis.classify(&job(
             "probe:opt",
             0,
-            mk(DirectFault::FileMakeMissing {
+            direct(DirectFault::FileMakeMissing {
                 path: "/etc/probe.local".into(),
             }),
         ));
@@ -916,7 +1020,7 @@ mod tests {
         let relevant = analysis.classify(&job(
             "probe:conf",
             0,
-            mk(DirectFault::FileMakeMissing {
+            direct(DirectFault::FileMakeMissing {
                 path: "/etc/probe.conf".into(),
             }),
         ));
@@ -925,7 +1029,7 @@ mod tests {
         let chown = analysis.classify(&job(
             "probe:conf",
             0,
-            mk(DirectFault::FileChownRoot {
+            direct(DirectFault::FileChownRoot {
                 path: "/etc/probe.conf".into(),
             }),
         ));
@@ -934,7 +1038,7 @@ mod tests {
         let wd = analysis.classify(&job(
             "probe:conf",
             0,
-            mk(DirectFault::WorkingDirectory { dir: "/tmp".into() }),
+            direct(DirectFault::WorkingDirectory { dir: "/tmp".into() }),
         ));
         assert!(matches!(wd, Relevance::Unknown { .. }));
     }
@@ -966,15 +1070,9 @@ mod tests {
         let setup = setup();
         let clean = run_once(&setup, &Probe, None);
         let analysis = AppAnalysis::from_clean_run(&setup, &clean);
-        let fault = crate::perturb::ConcreteFault {
-            id: "t".into(),
-            category: crate::model::EaiCategory::Other,
-            semantic: None,
-            description: String::new(),
-            payload: FaultPayload::Direct(DirectFault::FileMakeMissing {
-                path: "/etc/probe.local".into(),
-            }),
-        };
+        let fault = direct(DirectFault::FileMakeMissing {
+            path: "/etc/probe.local".into(),
+        });
         let digest = analysis
             .pruned_digest(&job("probe:opt", 0, fault.clone()))
             .expect("provably inert");
@@ -1015,15 +1113,9 @@ mod tests {
             .expect("world materializes");
         let clean = run_once(&setup, &WriteThenStat, None);
         let analysis = AppAnalysis::from_clean_run(&setup, &clean);
-        let fault = crate::perturb::ConcreteFault {
-            id: "t".into(),
-            category: crate::model::EaiCategory::Other,
-            semantic: None,
-            description: String::new(),
-            payload: FaultPayload::Direct(DirectFault::FileMakeMissing {
-                path: "/var/w.tmp".into(),
-            }),
-        };
+        let fault = direct(DirectFault::FileMakeMissing {
+            path: "/var/w.tmp".into(),
+        });
         // At the stat site the file exists *because the app created it*:
         // the pristine-world no-op proof must not transfer.
         let v = analysis.classify(&job("w:check", 0, fault));

@@ -393,9 +393,9 @@ pub(crate) struct Campaign<'a> {
     /// at most once per campaign — the world hash is cheap, but not free.
     scope: shim_sync::sync::OnceLock<u64>,
     /// The static analysis of this campaign's clean run, built at most once
-    /// (by [`Campaign::plan`], or lazily by the scheduler) and only when
+    /// (by [`Campaign::seed_analysis`]) and only when
     /// [`CampaignOptions::static_prune`] is on.
-    analysis: shim_sync::sync::OnceLock<shim_sync::sync::Arc<crate::analysis::AppAnalysis>>,
+    analysis: shim_sync::sync::OnceLock<crate::analysis::AppAnalysis>,
 }
 
 impl<'a> Campaign<'a> {
@@ -427,32 +427,22 @@ impl<'a> Campaign<'a> {
         })
     }
 
-    /// This campaign's static analysis, when pre-pruning is enabled: built
-    /// from a clean run at most once. [`Campaign::plan`] seeds it with the
-    /// plan's own clean run; a direct [`Campaign::schedule`] call (no plan)
-    /// performs one clean run lazily — clean runs are deterministic, so
-    /// both paths build identical analyses.
-    pub(crate) fn analysis(&self) -> Option<shim_sync::sync::Arc<crate::analysis::AppAnalysis>> {
-        if !self.options.static_prune {
-            return None;
-        }
-        Some(
+    /// Builds the static analysis that [`Campaign::schedule`] prunes with
+    /// from `clean`, this campaign's clean run (a no-op when pre-pruning is
+    /// off or the analysis exists). [`Campaign::plan`] seeds it with its
+    /// own clean run and the driver with the clean run of a plan the
+    /// campaign arrives with, so the analysis never costs a clean run.
+    pub(crate) fn seed_analysis(&self, clean: &RunOutcome) {
+        if self.options.static_prune {
             self.analysis
-                .get_or_init(|| {
-                    let clean = run_once(self.setup, self.app, None);
-                    shim_sync::sync::Arc::new(crate::analysis::AppAnalysis::from_clean_run(self.setup, &clean))
-                })
-                .clone(),
-        )
+                .get_or_init(|| crate::analysis::AppAnalysis::from_clean_run(self.setup, clean));
+        }
     }
+
     /// Steps 1–5: trace the application and build the fault plan.
     pub(crate) fn plan(&self) -> CampaignPlan {
         let clean = run_once(self.setup, self.app, None);
-        if self.options.static_prune {
-            self.analysis.get_or_init(|| {
-                shim_sync::sync::Arc::new(crate::analysis::AppAnalysis::from_clean_run(self.setup, &clean))
-            });
-        }
+        self.seed_analysis(&clean);
         let summaries = clean.os.trace.sites();
         let reaccessed = clean.os.trace.reaccessed_files();
         let mut exec_resolutions: BTreeMap<String, String> = BTreeMap::new();
@@ -541,13 +531,17 @@ impl<'a> Campaign<'a> {
 
     /// Canonicalizes a flat job list against this campaign's scope, cache,
     /// and dedup setting (the planner's entry point; the driver runs the
-    /// schedule so cache replays never occupy a worker slot).
+    /// schedule so cache replays never occupy a worker slot). With
+    /// pre-pruning on, the analysis must be seeded first.
     pub(crate) fn schedule(&self, jobs: &[InjectionPlan]) -> Schedule {
         let scope = if self.options.cache.is_some() { self.scope() } else { 0 };
-        let analysis = self.analysis();
-        let prune = analysis
-            .as_ref()
-            .map(|a| move |job: &InjectionPlan| a.pruned_digest(job));
+        let analysis = self.analysis.get();
+        assert_eq!(
+            analysis.is_some(),
+            self.options.static_prune,
+            "a pruning campaign's analysis is seeded before it schedules"
+        );
+        let prune = analysis.map(|a| move |job: &InjectionPlan| a.pruned_digest(job));
         let prune_ref: Option<crate::engine::planner::PruneFn<'_>> = prune
             .as_ref()
             .map(|f| f as &dyn Fn(&InjectionPlan) -> Option<RunDigest>);

@@ -95,6 +95,8 @@ pub(crate) fn drive(
         match b.plan {
             None => seed.push(Job::Plan(app)),
             Some((plan, jobs)) => {
+                // The plan already holds the clean run the analysis needs.
+                campaigns[app].seed_analysis(&plan.clean);
                 slot.given = Some(plan);
                 seed.extend(slot.start(app, campaigns[app], jobs, on_progress));
             }

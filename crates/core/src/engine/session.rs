@@ -107,6 +107,9 @@ impl Session {
     }
 
     /// Executes a pre-built plan (lets callers inspect or prune it first).
+    /// The plan must come from [`Session::plan`] for the same application:
+    /// its clean run also seeds the static analysis, so no second clean run
+    /// is performed.
     pub fn execute_plan(&self, app: &dyn Application, plan: &CampaignPlan) -> CampaignReport {
         let campaign = self.campaign(app);
         let bound = Bound {
