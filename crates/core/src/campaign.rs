@@ -548,13 +548,6 @@ impl<'a> Campaign<'a> {
         Schedule::build(jobs, scope, self.options.cache.as_ref(), self.options.dedup, prune_ref)
     }
 
-    /// Memoizes one executed run's digest under this campaign's scope.
-    pub(crate) fn memoize(&self, key: &crate::engine::planner::FaultKey, digest: RunDigest) {
-        if let Some(cache) = &self.options.cache {
-            cache.insert(self.scope(), key, digest);
-        }
-    }
-
     /// The configured per-campaign execution budget, if any.
     pub(crate) fn plan_budget(&self) -> Option<usize> {
         self.options.plan_budget

@@ -216,7 +216,8 @@ impl<'c> Slot<'c> {
     }
 
     /// Books one executed canonical record: charges the budget unless it
-    /// was a claim replay, memoizes its digest, and replays its aliases.
+    /// was a claim replay, and replays its aliases. The record's digest is
+    /// already in the cache: the worker's claim published it.
     fn complete(
         &mut self,
         app: usize,
@@ -234,12 +235,14 @@ impl<'c> Slot<'c> {
         }
         self.stats.observe(record.category, !record.tolerated());
         let schedule = self.schedule.as_ref().expect("schedule arrives before its records");
-        let digest = RunDigest::of(&record);
-        campaign.memoize(schedule.key(idx), digest.clone());
-        for &alias in schedule.aliases_of(idx) {
-            let replay = digest.replay(&self.jobs[alias]);
-            on_progress(app, Progress::Record(&replay));
-            self.records[alias] = Some(replay);
+        let aliases = schedule.aliases_of(idx);
+        if !aliases.is_empty() {
+            let digest = RunDigest::of(&record);
+            for &alias in aliases {
+                let replay = digest.replay(&self.jobs[alias]);
+                on_progress(app, Progress::Record(&replay));
+                self.records[alias] = Some(replay);
+            }
         }
         self.records[idx] = Some(record);
         self.advance(app, campaign, on_progress)

@@ -27,9 +27,33 @@
 //! counters that double as the allocations-per-run proxy reported by
 //! `benches/hotpath.rs` (a counting global allocator is off the table:
 //! the workspace forbids `unsafe_code`).
+//!
+//! # Per-thread front cache
+//!
+//! Pooled workers intern the same few hundred paths on every run, so a
+//! lookup must not write memory another thread touches. Each thread
+//! keeps its own cache in front of the table: cleaned text → symbol, and
+//! `(dir, name)` → joined symbol. A lookup the cache cannot answer falls
+//! through to the table and is then cached locally. The table stays the
+//! only place a symbol is minted, and the cache only repeats the table's
+//! answers, so both invariants above hold across threads.
+//!
+//! # Exact counters
+//!
+//! Each thread counts `hits`, `misses` and `join_hits` in its own
+//! counter block: only the owning thread writes it, [`stats`] reads it.
+//! The blocks are listed in a registry. When a thread exits, its block
+//! is folded into the registry's retired totals and unlisted, both under
+//! the registry lock; [`stats`] sums the retired totals and the listed
+//! blocks under that same lock. Every count is therefore in exactly one
+//! of the two places at any moment, so [`stats`] is exact — also right
+//! after a scoped pool returns, whether or not its workers' thread-local
+//! destructors have run yet. (Joining a thread orders its counter writes
+//! before the reader's loads.)
 
 use shim_sync::sync::atomic::{AtomicU64, Ordering};
-use shim_sync::sync::{OnceLock, RwLock};
+use shim_sync::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -59,7 +83,7 @@ impl PathSym {
     /// loop's path extension, served from a `(dir, name)` cache so a
     /// re-walked prefix never re-allocates.
     pub fn join(&self, name: &str) -> PathSym {
-        table().join(*self, name)
+        with_local(|local| local.join(*self, name))
     }
 }
 
@@ -203,12 +227,37 @@ pub struct InternStats {
     pub join_hits: u64,
 }
 
+/// The process-wide table: the only place a symbol is minted.
 struct Table {
     syms: RwLock<HashMap<&'static str, PathSym>>,
     joins: RwLock<HashMap<(PathSym, PathSym), PathSym>>,
+    registry: Mutex<Registry>,
+}
+
+/// Every thread's counter block, plus the totals of threads that exited.
+struct Registry {
+    live: Vec<Arc<Counters>>,
+    retired: [u64; 3],
+}
+
+/// One thread's counters. Only the owning thread writes them (a plain
+/// load and store, no read-modify-write); [`stats`] reads them. The
+/// alignment keeps two threads' blocks off one cache line.
+#[repr(align(128))]
+struct Counters {
     hits: AtomicU64,
     misses: AtomicU64,
     join_hits: AtomicU64,
+}
+
+impl Counters {
+    fn bump(counter: &AtomicU64) {
+        counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    fn read(&self) -> [u64; 3] {
+        [&self.hits, &self.misses, &self.join_hits].map(|c| c.load(Ordering::Relaxed))
+    }
 }
 
 fn table() -> &'static Table {
@@ -216,74 +265,173 @@ fn table() -> &'static Table {
     TABLE.get_or_init(|| Table {
         syms: RwLock::new(HashMap::new()),
         joins: RwLock::new(HashMap::new()),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-        join_hits: AtomicU64::new(0),
+        registry: Mutex::new(Registry {
+            live: Vec::new(),
+            retired: [0; 3],
+        }),
     })
 }
 
 impl Table {
-    /// Interns text that is already clean (private fast path).
-    fn intern_clean(&self, cleaned: &str) -> PathSym {
+    /// The symbol for text that is already clean, and whether this call
+    /// minted (and leaked) it.
+    fn intern_clean(&self, cleaned: &str) -> (PathSym, bool) {
         if let Some(&sym) = self.syms.read().expect("interner poisoned").get(cleaned) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return sym;
+            return (sym, false);
         }
         let mut map = self.syms.write().expect("interner poisoned");
         // Double-check: another thread may have interned between locks.
         if let Some(&sym) = map.get(cleaned) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return sym;
+            return (sym, false);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let leaked: &'static str = Box::leak(cleaned.to_string().into_boxed_str());
         let sym = PathSym(leaked);
         map.insert(leaked, sym);
+        (sym, true)
+    }
+
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A thread's front cache over the [`Table`], with its counter block.
+/// Answers are copied from the table, so the cache can only repeat what
+/// the table already decided.
+struct Local {
+    /// Cleaned text → symbol.
+    syms: HashMap<&'static str, PathSym>,
+    /// `(dir, name)` → joined symbol.
+    joins: HashMap<(PathSym, PathSym), PathSym>,
+    counters: Arc<Counters>,
+}
+
+thread_local! {
+    static LOCAL: RefCell<Local> = RefCell::new(Local::register());
+}
+
+/// Runs `f` on this thread's cache. A lookup made after the cache is
+/// torn down (from another thread-local's destructor) gets a one-shot
+/// cache, whose counts are folded in when it drops.
+fn with_local<R>(f: impl Fn(&mut Local) -> R) -> R {
+    LOCAL
+        .try_with(|local| f(&mut local.borrow_mut()))
+        .unwrap_or_else(|_| f(&mut Local::register()))
+}
+
+impl Local {
+    fn register() -> Local {
+        let counters = Arc::new(Counters {
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            join_hits: AtomicU64::new(0),
+        });
+        table().registry().live.push(Arc::clone(&counters));
+        Local {
+            syms: HashMap::new(),
+            joins: HashMap::new(),
+            counters,
+        }
+    }
+
+    fn intern(&mut self, p: &str) -> PathSym {
+        // Most lookups arrive already clean (walk output, re-interned
+        // symbols); probe the raw text first and only clean on miss. A
+        // stored key is always cleaned text, so a raw hit means `p` was
+        // already clean.
+        if let Some(&sym) = self.syms.get(p) {
+            Counters::bump(&self.counters.hits);
+            return sym;
+        }
+        let cleaned = path::clean(p);
+        let (sym, minted) = match self.syms.get(cleaned.as_str()) {
+            Some(&sym) => (sym, false),
+            None => table().intern_clean(&cleaned),
+        };
+        self.syms.insert(sym.as_str(), sym);
+        let counter = if minted {
+            &self.counters.misses
+        } else {
+            &self.counters.hits
+        };
+        Counters::bump(counter);
         sym
     }
 
-    fn join(&self, dir: PathSym, name: &str) -> PathSym {
+    fn join(&mut self, dir: PathSym, name: &str) -> PathSym {
         // The component is itself a symbol, so the cache key is Copy
         // and 'static. Cleaning is segment-local, so keying on the
         // cleaned component cannot conflate distinct joined paths.
-        let name_sym = intern(name);
-        if let Some(&sym) = self.joins.read().expect("interner poisoned").get(&(dir, name_sym)) {
-            self.join_hits.fetch_add(1, Ordering::Relaxed);
+        let key = (dir, self.intern(name));
+        if let Some(&sym) = self.joins.get(&key) {
+            Counters::bump(&self.counters.join_hits);
             return sym;
         }
-        let sym = intern(&path::join(dir.as_str(), name_sym.as_str()));
-        self.joins
-            .write()
-            .expect("interner poisoned")
-            .insert((dir, name_sym), sym);
+        let t = table();
+        let known = t.joins.read().expect("interner poisoned").get(&key).copied();
+        let sym = match known {
+            Some(sym) => sym,
+            None => {
+                let mut joins = t.joins.write().expect("interner poisoned");
+                // Double-check: another thread may have joined between
+                // locks. Each pair is joined (and its result interned)
+                // once, so the counts do not depend on thread timing.
+                match joins.get(&key) {
+                    Some(&sym) => sym,
+                    None => {
+                        // Lock order: `joins` before `syms`, never after.
+                        let sym = self.intern(&path::join(dir.as_str(), key.1.as_str()));
+                        joins.insert(key, sym);
+                        self.joins.insert(key, sym);
+                        return sym;
+                    }
+                }
+            }
+        };
+        Counters::bump(&self.counters.join_hits);
+        self.joins.insert(key, sym);
         sym
+    }
+}
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        // Fold and unregister in one critical section, so `stats` sees
+        // this thread's counts exactly once whichever side of it runs.
+        let mut registry = table().registry();
+        let counts = self.counters.read();
+        for (total, n) in registry.retired.iter_mut().zip(counts) {
+            *total += n;
+        }
+        registry.live.retain(|c| !Arc::ptr_eq(c, &self.counters));
     }
 }
 
 /// Interns a path: cleans it with [`path::clean`], then returns the
 /// process-wide unique symbol for the cleaned text.
 pub fn intern(p: &str) -> PathSym {
-    let t = table();
-    // Most lookups arrive already clean (walk output, re-interned
-    // symbols); probe the raw text first and only clean on miss.
-    if let Some(&sym) = t.syms.read().expect("interner poisoned").get(p) {
-        // A stored key is always cleaned text, so a raw hit here means
-        // `p` was already clean.
-        t.hits.fetch_add(1, Ordering::Relaxed);
-        return sym;
-    }
-    let cleaned = path::clean(p);
-    t.intern_clean(&cleaned)
+    with_local(|local| local.intern(p))
 }
 
-/// A snapshot of the interner counters (see [`InternStats`]).
+/// A snapshot of the interner counters (see [`InternStats`]). Exact at
+/// any moment: every count is in exactly one of the retired totals or a
+/// live block, and both are read under the registry lock.
 pub fn stats() -> InternStats {
     let t = table();
+    let [hits, misses, join_hits] = {
+        let registry = t.registry();
+        registry.live.iter().fold(registry.retired, |mut sum, c| {
+            for (total, n) in sum.iter_mut().zip(c.read()) {
+                *total += n;
+            }
+            sum
+        })
+    };
     InternStats {
-        hits: t.hits.load(Ordering::Relaxed),
-        misses: t.misses.load(Ordering::Relaxed),
+        hits,
+        misses,
         symbols: t.syms.read().expect("interner poisoned").len() as u64,
-        join_hits: t.join_hits.load(Ordering::Relaxed),
+        join_hits,
     }
 }
 

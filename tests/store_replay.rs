@@ -4,14 +4,17 @@
 //! byte-identical verdicts — the `cache_hit` provenance flag is the only
 //! permitted difference. Also covers the conservative-miss contract end to
 //! end: a corrupted entry re-executes exactly its own job, heals the
-//! store, and never changes a verdict.
+//! store, and never changes a verdict. And a pooled suite writes each
+//! executed run through to its store exactly once.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use epa::apps::ScriptedApp;
 use epa::core::corpus::{synthesize_one, DEFAULT_CORPUS_SEED};
-use epa::core::engine::{ResultCache, Session, Suite, SuiteReport};
-use epa::core::store::{DiskStore, ResultStore, SuiteManifest};
+use epa::core::engine::{FaultKey, ResultCache, RunDigest, Session, Suite, SuiteReport};
+use epa::core::store::{DiskStore, MemoryStore, ResultStore, SuiteManifest};
 
 /// An empty per-test store directory under `target/` (kept out of the
 /// source tree; recreated from scratch on every run).
@@ -173,4 +176,50 @@ fn a_truncated_entry_is_a_conservative_miss_not_a_parse_panic() {
     assert_eq!(stripped(&cold), stripped(&warm));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A [`MemoryStore`] that counts every `save` it receives.
+#[derive(Default)]
+struct CountingStore {
+    inner: MemoryStore,
+    saves: AtomicUsize,
+}
+
+impl ResultStore for CountingStore {
+    fn load(&self, scope: u64, key: &FaultKey) -> Option<RunDigest> {
+        self.inner.load(scope, key)
+    }
+
+    fn save(&self, scope: u64, key: &FaultKey, digest: &RunDigest) {
+        self.saves.fetch_add(1, Ordering::Relaxed);
+        self.inner.save(scope, key, digest);
+    }
+
+    fn entries(&self) -> usize {
+        self.inner.entries()
+    }
+
+    fn kind(&self) -> &'static str {
+        "counting"
+    }
+}
+
+#[test]
+fn a_pooled_suite_saves_each_executed_run_exactly_once() {
+    let store = Arc::new(CountingStore::default());
+    let mut suite = Suite::new().with_workers(4).with_store(store.clone());
+    for index in [1usize, 4] {
+        let scenario = synthesize_one(DEFAULT_CORPUS_SEED, index);
+        let setup = scenario.spec.materialize().expect("corpus worlds materialize");
+        suite.register_session(ScriptedApp::for_scenario(&scenario), Session::from_setup(setup));
+    }
+    let report = suite.execute();
+    let executed = report.total_runs_executed();
+    assert!(executed > 0, "the cold pass must actually execute");
+    assert_eq!(
+        store.saves.load(Ordering::Relaxed),
+        executed,
+        "every executed run is written through once, at claim fulfilment"
+    );
+    assert_eq!(store.entries(), executed, "one distinct entry per executed run");
 }
