@@ -105,8 +105,7 @@ pub fn standard_suite() -> Result<epa_core::engine::Suite, epa_core::engine::Spe
 
 /// As [`standard_suite`], with explicit [`epa_core::campaign::CampaignOptions`]
 /// installed on every registered session — how the planner benches build
-/// the exhaustive (`dedup: false`) baseline and how callers opt into
-/// budgeted campaigns across the whole suite.
+/// the exhaustive (`dedup: false`) baseline.
 ///
 /// # Errors
 ///

@@ -238,9 +238,9 @@ fn main() {
         corpus_rows.push((w, ns, peak));
     }
 
-    // The full differential sweep — every scenario through execution paths
-    // #1–#8 — under the sharded queue at a pinned multi-worker count: the
-    // pooled paths must stay byte-identical to the sequential baseline.
+    // The full differential sweep — every scenario through every execution
+    // path of the harness — under the sharded queue at a pinned multi-worker
+    // count: the pooled paths must stay byte-identical to the baseline.
     let prev_workers = std::env::var("EPA_WORKERS").ok();
     std::env::set_var("EPA_WORKERS", "4");
     let factory = ScriptedApp::factory();

@@ -241,7 +241,8 @@ pub fn run_once(setup: &TestSetup, app: &dyn Application, hook: Option<Box<dyn I
     }
 }
 
-/// Campaign tuning knobs.
+/// Campaign tuning knobs: plain planning data. A session's result cache is
+/// set with [`crate::engine::Session::with_result_cache`].
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
     /// Perturb only these sites (by id); `None` perturbs all.
@@ -265,20 +266,6 @@ pub struct CampaignOptions {
     /// preserved. Turn off to force the exhaustive pre-planner behaviour
     /// (the equivalence baseline the property tests compare against).
     pub dedup: bool,
-    /// A shared [`crate::engine::planner::ResultCache`] memoizing
-    /// `(setup fingerprint, FaultKey) -> RunDigest` across campaigns and
-    /// executions. `None` (the default) keeps memoization plan-local;
-    /// [`crate::engine::Suite`] installs one suite-scoped cache across all
-    /// of its campaigns.
-    pub cache: Option<crate::engine::planner::ResultCache>,
-    /// Execute at most this many *runs* (cache replays are free), picking
-    /// the next job adaptively by observed per-EAI-category verdict yield
-    /// ([`crate::engine::planner::YieldStats`]). `None` — the default, and
-    /// what every paper table uses — executes the exhaustive plan in plan
-    /// order. Budgeted execution is inherently sequential within one
-    /// campaign (each pick feeds on the previous outcome); a suite still
-    /// interleaves budgeted campaigns across its worker pool.
-    pub plan_budget: Option<usize>,
     /// Pre-prune the plan with the static analysis layer: jobs the
     /// [`crate::analysis::AppAnalysis`] classifies as
     /// [`crate::analysis::Relevance::ProvablyInert`] are never executed —
@@ -300,8 +287,6 @@ impl Default for CampaignOptions {
             max_faults_per_site: None,
             max_occurrences_per_site: 1,
             dedup: true,
-            cache: None,
-            plan_budget: None,
             static_prune: true,
         }
     }
@@ -389,6 +374,9 @@ pub(crate) struct Campaign<'a> {
     app: &'a dyn Application,
     setup: &'a TestSetup,
     options: CampaignOptions,
+    /// The shared result cache runs memoize into and replay from; `None`
+    /// keeps memoization plan-local.
+    cache: Option<ResultCache>,
     /// The memoization scope (app identity + setup fingerprint), computed
     /// at most once per campaign — the world hash is cheap, but not free.
     scope: shim_sync::sync::OnceLock<u64>,
@@ -404,18 +392,17 @@ impl<'a> Campaign<'a> {
             app,
             setup,
             options,
+            cache: None,
             scope: shim_sync::sync::OnceLock::new(),
             analysis: shim_sync::sync::OnceLock::new(),
         }
     }
 
-    /// Installs `cache` as the campaign's result cache unless the options
-    /// already carry one (the suite-scoped default; an explicit per-session
-    /// cache wins).
+    /// Installs `cache` as the campaign's result cache unless it already
+    /// has one (the suite-scoped default; an explicit per-session cache
+    /// wins).
     pub(crate) fn ensure_cache(&mut self, cache: ResultCache) {
-        if self.options.cache.is_none() {
-            self.options.cache = Some(cache);
-        }
+        self.cache.get_or_insert(cache);
     }
 
     /// The `(setup fingerprint, application)` memoization scope of this
@@ -515,7 +502,7 @@ impl<'a> Campaign<'a> {
     /// ([`ResultCache::begin`]) and replay the winner's digest. Without a
     /// cache this is exactly [`Campaign::run_job`].
     pub(crate) fn run_job_cached(&self, job: &InjectionPlan) -> FaultRecord {
-        let Some(cache) = self.options.cache.clone() else {
+        let Some(cache) = self.cache.clone() else {
             return self.run_job(job);
         };
         let key = FaultKey::of(job);
@@ -534,7 +521,7 @@ impl<'a> Campaign<'a> {
     /// schedule so cache replays never occupy a worker slot). With
     /// pre-pruning on, the analysis must be seeded first.
     pub(crate) fn schedule(&self, jobs: &[InjectionPlan]) -> Schedule {
-        let scope = if self.options.cache.is_some() { self.scope() } else { 0 };
+        let scope = if self.cache.is_some() { self.scope() } else { 0 };
         let analysis = self.analysis.get();
         assert_eq!(
             analysis.is_some(),
@@ -545,12 +532,7 @@ impl<'a> Campaign<'a> {
         let prune_ref: Option<crate::engine::planner::PruneFn<'_>> = prune
             .as_ref()
             .map(|f| f as &dyn Fn(&InjectionPlan) -> Option<RunDigest>);
-        Schedule::build(jobs, scope, self.options.cache.as_ref(), self.options.dedup, prune_ref)
-    }
-
-    /// The configured per-campaign execution budget, if any.
-    pub(crate) fn plan_budget(&self) -> Option<usize> {
-        self.options.plan_budget
+        Schedule::build(jobs, scope, self.cache.as_ref(), self.options.dedup, prune_ref)
     }
 
     /// Folds a finished campaign's records (in plan order) into its report.
@@ -559,17 +541,7 @@ impl<'a> Campaign<'a> {
         // catalog has something to perturb — pure-output sites (prints) have
         // no applicable faults and do not count against coverage.
         let perturbable = plan.sites.iter().filter(|s| !s.faults.is_empty()).count();
-        let perturbed_sites = if self.options.plan_budget.is_some() {
-            // A budget may drop a planned site entirely; coverage counts
-            // only sites that actually received a (possibly replayed) run.
-            let touched: BTreeSet<&str> = records.iter().map(|r| r.site.as_str()).collect();
-            plan.sites
-                .iter()
-                .filter(|s| s.included && !s.faults.is_empty() && touched.contains(s.summary.site.0.as_str()))
-                .count()
-        } else {
-            plan.sites.iter().filter(|s| s.included && !s.faults.is_empty()).count()
-        };
+        let perturbed_sites = plan.sites.iter().filter(|s| s.included && !s.faults.is_empty()).count();
         CampaignReport {
             app: self.app.name().to_string(),
             total_sites: perturbable,
@@ -779,14 +751,11 @@ mod tests {
 
     #[test]
     fn memoized_rerun_replays_every_record_byte_identically() {
-        let cache = crate::engine::planner::ResultCache::new();
-        let options = CampaignOptions {
-            cache: Some(cache.clone()),
-            ..Default::default()
-        };
-        let first = session(options.clone()).execute(&MiniLpr);
+        let cache = ResultCache::new();
+        let cached = || session(CampaignOptions::default()).with_result_cache(cache.clone());
+        let first = cached().execute(&MiniLpr);
         assert_eq!(first.cache_hits(), 0, "a cold cache replays nothing");
-        let second = session(options).execute(&MiniLpr);
+        let second = cached().execute(&MiniLpr);
         assert_eq!(
             second.cache_hits(),
             second.injected() - second.pruned(),
@@ -806,12 +775,10 @@ mod tests {
     #[test]
     fn cache_does_not_leak_across_applications() {
         let s = setup();
-        let cache = crate::engine::planner::ResultCache::new();
-        let options = CampaignOptions {
-            cache: Some(cache.clone()),
-            ..Default::default()
-        };
-        let _ = session(options.clone()).execute(&MiniLpr);
+        let cache = ResultCache::new();
+        let _ = session(CampaignOptions::default())
+            .with_result_cache(cache.clone())
+            .execute(&MiniLpr);
         // A different application over the same world must not replay the
         // MiniLpr outcomes: its scope differs.
         struct OtherLpr;
@@ -823,60 +790,9 @@ mod tests {
                 MiniLpr.run(os, pid)
             }
         }
-        let other = Session::from_setup(s).with_options(options).execute(&OtherLpr);
+        let other = Session::from_setup(s).with_result_cache(cache).execute(&OtherLpr);
         assert_eq!(other.cache_hits(), 0);
         assert_eq!(other.runs_executed(), other.injected() - other.pruned());
-    }
-
-    #[test]
-    fn budgeted_campaign_executes_at_most_the_budget() {
-        let full = session(CampaignOptions::default()).execute(&MiniLpr);
-        let budgeted = session(CampaignOptions {
-            plan_budget: Some(3),
-            ..Default::default()
-        })
-        .execute(&MiniLpr);
-        assert_eq!(budgeted.runs_executed(), 3);
-        assert!(budgeted.injected() <= full.injected());
-        // Every budgeted record matches its exhaustive twin exactly.
-        for record in &budgeted.records {
-            let twin = full
-                .records
-                .iter()
-                .find(|r| r.fault_id == record.fault_id && r.site == record.site && r.occurrence == record.occurrence)
-                .expect("budgeted records are a subset of the exhaustive plan");
-            assert_eq!(twin, record);
-        }
-        // A budget at least as large as the plan reproduces it exactly.
-        let generous = session(CampaignOptions {
-            plan_budget: Some(full.injected()),
-            ..Default::default()
-        })
-        .execute(&MiniLpr);
-        assert_eq!(generous.injected(), full.injected());
-        assert_eq!(generous.violated(), full.violated());
-    }
-
-    #[test]
-    fn execute_until_budget_caps_the_whole_campaign_not_each_batch() {
-        // MiniLpr's full incremental campaign is 9 runs over 2 sites; a
-        // budget of 3 must cap the *campaign*, not allow 3 per site.
-        let budgeted = session(CampaignOptions {
-            plan_budget: Some(3),
-            ..Default::default()
-        })
-        .execute_until(&MiniLpr, 1.0);
-        assert_eq!(budgeted.runs_executed(), 3);
-        // A zero budget executes nothing and must not claim coverage
-        // (pruning off: a synthesized inert record would count as injected).
-        let none = session(CampaignOptions {
-            plan_budget: Some(0),
-            static_prune: false,
-            ..Default::default()
-        })
-        .execute_until(&MiniLpr, 1.0);
-        assert_eq!(none.injected(), 0);
-        assert_eq!(none.perturbed_sites, 0);
     }
 
     #[test]

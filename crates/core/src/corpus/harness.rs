@@ -2,11 +2,10 @@
 //! byte-identical verdicts — or a minimized counterexample.
 //!
 //! The engine has several ways to execute the same campaign (inline
-//! session, suite pool, dedup/memoizing planner, budgeted adaptive
-//! planner, static pruning). All of them promise the same verdict set;
-//! [`differential_check`] holds them to the `reference` baseline — a plain
-//! loop of one perturbed run per planned job that shares no scheduling
-//! code with the engine's driver. Each path's report is flattened to a
+//! session, suite pool, dedup/memoizing planner, static pruning). All of
+//! them promise the same verdict set; [`differential_check`] holds them
+//! to the `reference` baseline — a plain loop of one perturbed run per
+//! planned job that shares no scheduling code with the engine's driver. Each path's report is flattened to a
 //! canonical per-record digest line — deliberately *excluding* the
 //! `cache_hit` and `pruned` provenance flags, the only fields a replay (or
 //! a statically pruned synthesis) may legitimately differ in — and
@@ -66,7 +65,7 @@ impl Application for SharedApp {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PathOutcome {
     /// Path name (`reference`, `sequential`, `suite`, `planner-cold`,
-    /// `planner-warm`, `budgeted`, `pruned`).
+    /// `planner-warm`, `pruned`).
     pub path: String,
     /// Canonical digest lines, one per injected record, in plan order.
     pub lines: Vec<String>,
@@ -218,9 +217,7 @@ fn diff_lines(baseline: &PathOutcome, candidate: &PathOutcome, seed: u64) -> Opt
 /// 4. `planner-cold` / `planner-warm` — canonical-fault dedup plus a fresh
 ///    [`ResultCache`], executed twice (the warm pass must replay, and still
 ///    agree byte-for-byte);
-/// 5. `budgeted` — the adaptive planner with a budget covering the whole
-///    plan;
-/// 6. `pruned` — the static analyzer's pre-pruned plan (dedup on, so
+/// 5. `pruned` — the static analyzer's pre-pruned plan (dedup on, so
 ///    canonical-alias replay composes with prune synthesis): every record
 ///    the analyzer refuses to execute must still carry the exhaustive
 ///    verdict, byte-for-byte.
@@ -348,16 +345,18 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
 
     // Paths 4a/4b: dedup + memoizing planner, cold then warm.
     let cache = ResultCache::new();
-    let planner_options = || CampaignOptions {
-        dedup: true,
-        cache: Some(cache.clone()),
-        ..base_options()
+    let planner = || {
+        session(CampaignOptions {
+            dedup: true,
+            ..base_options()
+        })
+        .with_result_cache(cache.clone())
     };
     check("planner-cold", &mut || {
-        report_outcome("planner-cold", &session(planner_options()).execute(&*app))
+        report_outcome("planner-cold", &planner().execute(&*app))
     });
     check("planner-warm", &mut || {
-        let report = session(planner_options()).execute(&*app);
+        let report = planner().execute(&*app);
         let warm = report_outcome("planner-warm", &report);
         assert!(
             report.injected() == 0 || report.cache_hits() > 0,
@@ -366,17 +365,7 @@ pub fn differential_check(scenario: &Scenario, factory: AppFactory<'_>) -> Scena
         warm
     });
 
-    // Path 5: budgeted adaptive execution, budget covering the whole plan.
-    check("budgeted", &mut || {
-        let options = CampaignOptions {
-            dedup: true,
-            plan_budget: Some(baseline_report.injected()),
-            ..base_options()
-        };
-        report_outcome("budgeted", &session(options).execute(&*app))
-    });
-
-    // Path 6: the statically pre-pruned plan. The analyzer may only drop
+    // Path 5: the statically pre-pruned plan. The analyzer may only drop
     // `ProvablyInert` jobs, whose synthesized records must match the
     // exhaustive baseline's byte-for-byte — any unsound classification
     // diverges here and gets shrunk to a minimal world.

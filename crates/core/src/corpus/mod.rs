@@ -4,8 +4,8 @@
 //! The corpus layer closes the loop the paper leaves implicit: if the
 //! perturbation engine is itself the measurement instrument, its many
 //! execution paths (sequential campaigns, the pooled executor, the
-//! dedup/memoizing/budgeted planner, incremental vs. batch oracle) must all
-//! report the *same* verdicts. This module synthesizes hundreds of valid
+//! dedup/memoizing planner, static pruning) must all report the *same*
+//! verdicts. This module synthesizes hundreds of valid
 //! [`WorldSpec`] worlds with scripted behaviors ([`generate`]), runs each
 //! through every path and compares verdict sets byte-for-byte
 //! ([`harness`]), shrinks any divergence or panic to a minimal world diff

@@ -11,15 +11,13 @@
 //! `(site, occurrence, fault)` jobs — statically pruned jobs, cache hits
 //! and dedup aliases resolve inline on the calling thread, never occupying
 //! a worker slot — and fans only the remaining canonical misses back onto
-//! the same queue, so idle workers steal across campaign boundaries. A
-//! budgeted campaign enqueues one job at a time (each pick feeds on the
-//! previous outcome) while other campaigns keep the workers busy. Records
-//! are reassembled into plan order by job index, so every worker count
-//! yields byte-identical reports.
+//! the same queue, so idle workers steal across campaign boundaries.
+//! Records are reassembled into plan order by job index, so every worker
+//! count yields byte-identical reports.
 
 use crate::campaign::{Campaign, CampaignPlan};
 use crate::engine::executor::Executor;
-use crate::engine::planner::{RunDigest, Schedule, YieldStats};
+use crate::engine::planner::{RunDigest, Schedule};
 use crate::inject::InjectionPlan;
 use crate::report::{CampaignReport, FaultRecord};
 
@@ -29,20 +27,12 @@ pub(crate) struct Bound<'c, 'a> {
     /// A pre-built plan and the jobs to run from it; `None` traces and
     /// plans the campaign on the pool, then runs every planned job.
     pub(crate) plan: Option<(&'c CampaignPlan, Vec<InjectionPlan>)>,
-    /// Runs the campaign may execute (`None` = the exhaustive plan).
-    /// Replays are free: only executed runs spend it.
-    pub(crate) budget: Option<usize>,
 }
 
 impl<'c, 'a> Bound<'c, 'a> {
-    /// Plans `campaign` on the pool and runs its whole plan under its
-    /// configured budget.
+    /// Plans `campaign` on the pool and runs its whole plan.
     pub(crate) fn new(campaign: &'c Campaign<'a>) -> Bound<'c, 'a> {
-        Bound {
-            campaign,
-            plan: None,
-            budget: campaign.plan_budget(),
-        }
+        Bound { campaign, plan: None }
     }
 }
 
@@ -91,7 +81,7 @@ pub(crate) fn drive(
     let mut slots = Vec::with_capacity(bound.len());
     let mut seed = Vec::new();
     for (app, b) in bound.into_iter().enumerate() {
-        let mut slot = Slot::new(b.budget);
+        let mut slot = Slot::default();
         match b.plan {
             None => seed.push(Job::Plan(app)),
             Some((plan, jobs)) => {
@@ -126,7 +116,10 @@ pub(crate) fn drive(
                 slot.planned = Some(plan);
                 slot.start(app, campaigns[app], jobs, on_progress)
             }
-            Done::Ran { app, idx, record } => slots[app].complete(app, campaigns[app], idx, record, on_progress),
+            Done::Ran { app, idx, record } => {
+                slots[app].complete(app, campaigns[app], idx, record, on_progress);
+                Vec::new()
+            }
         },
     );
     slots
@@ -135,18 +128,14 @@ pub(crate) fn drive(
         .collect()
 }
 
-/// Runs one bound campaign inline on the calling thread, streaming every
-/// record to `on_record`.
-pub(crate) fn drive_one(bound: Bound<'_, '_>, on_record: &mut dyn FnMut(&FaultRecord)) -> CampaignReport {
-    let mut reports = drive(&Executor::with_workers(1), vec![bound], &mut |_, progress| {
-        if let Progress::Record(record) = progress {
-            on_record(record);
-        }
-    });
+/// Runs one bound campaign inline on the calling thread.
+pub(crate) fn drive_one(bound: Bound<'_, '_>) -> CampaignReport {
+    let mut reports = drive(&Executor::with_workers(1), vec![bound], &mut |_, _| {});
     reports.pop().expect("one campaign, one report")
 }
 
 /// Per-campaign assembly state while the driver runs.
+#[derive(Default)]
 struct Slot<'c> {
     /// The plan the campaign arrived with, or the one planned on the pool.
     given: Option<&'c CampaignPlan>,
@@ -154,35 +143,15 @@ struct Slot<'c> {
     jobs: Vec<InjectionPlan>,
     schedule: Option<Schedule>,
     records: Vec<Option<FaultRecord>>,
-    /// Pending canonical job indices not yet handed to the queue.
-    remaining: Vec<usize>,
     /// Jobs on the queue (or running) whose results are still due.
     outstanding: usize,
-    /// Runs this campaign may still execute (`None` = unbudgeted).
-    budget_left: Option<usize>,
-    stats: YieldStats,
     report: Option<CampaignReport>,
 }
 
 impl<'c> Slot<'c> {
-    fn new(budget: Option<usize>) -> Slot<'c> {
-        Slot {
-            given: None,
-            planned: None,
-            jobs: Vec::new(),
-            schedule: None,
-            records: Vec::new(),
-            remaining: Vec::new(),
-            outstanding: 0,
-            budget_left: budget,
-            stats: YieldStats::new(),
-            report: None,
-        }
-    }
-
     /// Schedules the campaign's jobs: resolves statically pruned jobs and
-    /// cache replays (with their aliases) inline, then returns the first
-    /// executions for the queue.
+    /// cache replays (with their aliases) inline, then returns every
+    /// pending execution, in plan order, for the queue.
     fn start(
         &mut self,
         app: usize,
@@ -192,7 +161,6 @@ impl<'c> Slot<'c> {
     ) -> Vec<Job> {
         let schedule = campaign.schedule(&jobs);
         self.records = (0..jobs.len()).map(|_| None).collect();
-        self.remaining.clone_from(&schedule.pending);
         let replays = schedule
             .pruned
             .iter()
@@ -205,19 +173,31 @@ impl<'c> Slot<'c> {
                 } else {
                     digest.replay(&jobs[i])
                 };
-                self.stats.observe(record.category, !record.tolerated());
                 on_progress(app, Progress::Record(&record));
                 self.records[i] = Some(record);
             }
         }
+        let next: Vec<Job> = schedule
+            .pending
+            .iter()
+            .map(|&idx| Job::Inject {
+                app,
+                idx,
+                plan: jobs[idx].clone(),
+            })
+            .collect();
+        self.outstanding = next.len();
         self.jobs = jobs;
         self.schedule = Some(schedule);
-        self.advance(app, campaign, on_progress)
+        if self.outstanding == 0 {
+            self.finish(app, campaign, on_progress);
+        }
+        next
     }
 
-    /// Books one executed canonical record: charges the budget unless it
-    /// was a claim replay, and replays its aliases. The record's digest is
-    /// already in the cache: the worker's claim published it.
+    /// Books one executed canonical record and replays its aliases. The
+    /// record's digest is already in the cache: the worker's claim
+    /// published it.
     fn complete(
         &mut self,
         app: usize,
@@ -225,15 +205,9 @@ impl<'c> Slot<'c> {
         idx: usize,
         record: FaultRecord,
         on_progress: &mut dyn FnMut(usize, Progress<'_>),
-    ) -> Vec<Job> {
+    ) {
         on_progress(app, Progress::Record(&record));
         self.outstanding -= 1;
-        if let Some(left) = &mut self.budget_left {
-            if !record.cache_hit {
-                *left = left.saturating_sub(1);
-            }
-        }
-        self.stats.observe(record.category, !record.tolerated());
         let schedule = self.schedule.as_ref().expect("schedule arrives before its records");
         let aliases = schedule.aliases_of(idx);
         if !aliases.is_empty() {
@@ -245,42 +219,9 @@ impl<'c> Slot<'c> {
             }
         }
         self.records[idx] = Some(record);
-        self.advance(app, campaign, on_progress)
-    }
-
-    /// Returns the next executions for the queue — every remaining one in
-    /// plan order (exhaustive), or exactly one chosen by observed verdict
-    /// yield (budgeted: at most one of this campaign's jobs is in flight)
-    /// — and folds the campaign into its report once nothing is left.
-    fn advance(
-        &mut self,
-        app: usize,
-        campaign: &Campaign<'_>,
-        on_progress: &mut dyn FnMut(usize, Progress<'_>),
-    ) -> Vec<Job> {
-        let next = match self.budget_left {
-            None => std::mem::take(&mut self.remaining),
-            Some(0) => {
-                self.remaining.clear();
-                Vec::new()
-            }
-            Some(_) if self.remaining.is_empty() || self.outstanding > 0 => Vec::new(),
-            Some(_) => {
-                let pos = self.stats.pick(&self.remaining, &self.jobs);
-                vec![self.remaining.remove(pos)]
-            }
-        };
-        self.outstanding += next.len();
-        if self.outstanding == 0 && self.remaining.is_empty() {
+        if self.outstanding == 0 {
             self.finish(app, campaign, on_progress);
         }
-        next.into_iter()
-            .map(|idx| Job::Inject {
-                app,
-                idx,
-                plan: self.jobs[idx].clone(),
-            })
-            .collect()
     }
 
     /// Folds the finished campaign's records (already in plan order by
@@ -293,17 +234,13 @@ impl<'c> Slot<'c> {
             .as_deref()
             .or(self.given)
             .expect("plan arrives before its records");
-        // Only a budget may legitimately drop jobs; an unbudgeted campaign
-        // missing a record is an accounting bug and must fail loudly, not
+        // A missing record is an accounting bug and must fail loudly, not
         // silently truncate the report.
-        let records: Vec<FaultRecord> = if self.budget_left.is_some() {
-            self.records.drain(..).flatten().collect()
-        } else {
-            self.records
-                .drain(..)
-                .map(|r| r.expect("all records complete before the campaign finishes"))
-                .collect()
-        };
+        let records: Vec<FaultRecord> = self
+            .records
+            .drain(..)
+            .map(|r| r.expect("all records complete before the campaign finishes"))
+            .collect();
         let report = campaign.report_from(plan, records);
         on_progress(app, Progress::Finished(&report));
         self.report = Some(report);

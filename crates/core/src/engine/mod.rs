@@ -13,14 +13,12 @@
 //! 3. **[`Suite`]** (`suite`) — many `(application, world)` pairs executed
 //!    as one batch, streaming [`SuiteEvent`]s and aggregating into a
 //!    [`SuiteReport`] with cross-application rollups.
-//! 4. **[`planner`]** — the adaptive fault-space planner between the fault
+//! 4. **[`planner`]** — the fault-space planner between the fault
 //!    plan and the executor: canonicalizes every job into a
 //!    content-addressed [`planner::FaultKey`], dedups equivalent jobs
 //!    within a plan, memoizes `(setup fingerprint, FaultKey) -> RunDigest`
 //!    in a suite-scoped [`planner::ResultCache`] so identical runs replay
-//!    from cache instead of re-executing, and (opt-in, via
-//!    [`crate::campaign::CampaignOptions::plan_budget`]) prioritizes
-//!    remaining jobs by observed per-EAI-category verdict yield.
+//!    from cache instead of re-executing.
 //! 5. **[`Executor`]** (`executor`) — the single suite-wide work pool:
 //!    every injected run (across all applications) goes into one shared
 //!    queue drained by at most `available_parallelism` workers, with

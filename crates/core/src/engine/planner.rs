@@ -1,5 +1,5 @@
-//! The adaptive fault-space planner: canonical-fault dedup, cross-run
-//! memoization, and optional yield-guided prioritization.
+//! The fault-space planner: canonical-fault dedup and cross-run
+//! memoization.
 //!
 //! The paper's §3.2 adequacy metric and §3.3 step 5 assume the fault plan
 //! enumerates the *useful* perturbation space, but a naive planner
@@ -26,11 +26,6 @@
 //!    because a [`crate::engine::Session`] freezes one pristine world and
 //!    every run starts from a copy-on-write snapshot of it: the frozen
 //!    world is hashed once per campaign, not once per run.
-//! 4. **Prioritization** (opt-in) — with
-//!    [`crate::campaign::CampaignOptions::plan_budget`] set, remaining jobs
-//!    are ordered by observed per-EAI-category verdict yield ([`YieldStats`])
-//!    and only `budget` runs execute. The default (`None`) keeps exhaustive
-//!    plan order, so all paper numbers are reproduced exactly.
 //!
 //! Cache hits never occupy executor worker slots: the scheduling layer
 //! resolves them inline on the calling thread and only true misses are
@@ -43,7 +38,6 @@ use serde::{Deserialize, Serialize};
 use shim_sync::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::inject::InjectionPlan;
-use crate::model::EaiCategory;
 use crate::perturb::{DirectFault, FaultPayload};
 use crate::report::FaultRecord;
 use crate::store::ResultStore;
@@ -739,62 +733,10 @@ impl Schedule {
     }
 }
 
-/// Per-EAI-category verdict-yield statistics driving budgeted
-/// prioritization.
-///
-/// Every observed record updates its category's `(runs, violated)` pair;
-/// [`YieldStats::pick`] selects the remaining job whose category currently
-/// scores highest under a Laplace-smoothed yield estimate
-/// `(violated + 1) / (runs + 2)`, breaking ties toward the earliest plan
-/// position. Unobserved categories score 0.5 — optimistic enough to get
-/// sampled, pessimistic enough that a productive category dominates.
-#[derive(Debug, Clone, Default)]
-pub struct YieldStats {
-    by_category: BTreeMap<EaiCategory, (usize, usize)>,
-}
-
-impl YieldStats {
-    /// An empty observer.
-    pub fn new() -> YieldStats {
-        YieldStats::default()
-    }
-
-    /// Folds one record (executed or replayed) into the statistics.
-    pub fn observe(&mut self, category: EaiCategory, violated: bool) {
-        let e = self.by_category.entry(category).or_insert((0, 0));
-        e.0 += 1;
-        if violated {
-            e.1 += 1;
-        }
-    }
-
-    /// The current yield score of a category.
-    pub fn score(&self, category: EaiCategory) -> f64 {
-        let (runs, violated) = self.by_category.get(&category).copied().unwrap_or((0, 0));
-        (violated + 1) as f64 / (runs + 2) as f64
-    }
-
-    /// Picks the position (into `remaining`) of the next job to run:
-    /// highest category score, ties to the lowest plan index.
-    /// Deterministic for a given observation history.
-    pub fn pick(&self, remaining: &[usize], jobs: &[InjectionPlan]) -> usize {
-        let mut best = 0usize;
-        let mut best_score = f64::MIN;
-        for (pos, &idx) in remaining.iter().enumerate() {
-            let s = self.score(jobs[idx].fault.category);
-            if s > best_score {
-                best = pos;
-                best_score = s;
-            }
-        }
-        best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::IndirectKind;
+    use crate::model::{EaiCategory, IndirectKind};
     use crate::perturb::{ConcreteFault, IndirectFault};
     use epa_sandbox::trace::{InputSemantic, SiteId};
 
@@ -924,30 +866,6 @@ mod tests {
         assert_eq!(r.audit_events, 9);
         let c = digest.replay(&canon);
         assert_eq!(c.fault_id, "direct:fs:exist@/tmp/f");
-    }
-
-    #[test]
-    fn yield_stats_prioritize_productive_categories_deterministically() {
-        let jobs = vec![
-            indirect_job("i0", "s", 0),         // Indirect(UserInput)
-            direct_job("d0", "s", 0, "/tmp/f"), // Other
-            direct_job("d1", "s", 0, "/tmp/g"), // Other
-        ];
-        let mut stats = YieldStats::new();
-        // Nothing observed: every category scores 0.5, ties to plan order.
-        assert_eq!(stats.pick(&[0, 1, 2], &jobs), 0);
-        // The Other category keeps violating: it wins.
-        stats.observe(EaiCategory::Other, true);
-        stats.observe(EaiCategory::Other, true);
-        stats.observe(EaiCategory::Indirect(IndirectKind::UserInput), false);
-        assert!(stats.score(EaiCategory::Other) > stats.score(EaiCategory::Indirect(IndirectKind::UserInput)));
-        assert_eq!(stats.pick(&[0, 1, 2], &jobs), 1, "earliest job of the best category");
-        // A dead category decays below an unobserved one.
-        let mut cold = YieldStats::new();
-        for _ in 0..8 {
-            cold.observe(EaiCategory::Other, false);
-        }
-        assert!(cold.score(EaiCategory::Other) < 0.5);
     }
 
     #[test]

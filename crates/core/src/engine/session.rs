@@ -15,10 +15,12 @@ use epa_sandbox::os::Os;
 
 use crate::campaign::{run_once, Campaign, CampaignOptions, CampaignPlan, RunOutcome, TestSetup};
 use crate::engine::driver::{drive_one, Bound};
+use crate::engine::planner::ResultCache;
 use crate::engine::spec::{SpecError, WorldSpec};
-use crate::report::{CampaignReport, FaultRecord};
+use crate::report::CampaignReport;
 
-/// A frozen pristine world plus campaign options.
+/// A frozen pristine world plus campaign options and an optional result
+/// cache.
 ///
 /// The world inside a session is immutable: runs snapshot it, they never
 /// mutate it. That is what makes one session reusable across the clean run,
@@ -28,6 +30,7 @@ use crate::report::{CampaignReport, FaultRecord};
 pub struct Session {
     setup: TestSetup,
     options: CampaignOptions,
+    cache: Option<ResultCache>,
 }
 
 impl Session {
@@ -46,6 +49,7 @@ impl Session {
         Session {
             setup,
             options: CampaignOptions::default(),
+            cache: None,
         }
     }
 
@@ -56,22 +60,16 @@ impl Session {
         self
     }
 
-    /// Installs a shared [`crate::engine::planner::ResultCache`]: campaigns
-    /// run from this session memoize every executed run and replay
-    /// identical ones (here and in any other session sharing the cache)
-    /// instead of re-executing them.
+    /// Installs a shared [`ResultCache`]: campaigns run from this session
+    /// memoize every executed run and replay identical ones (here and in
+    /// any other session sharing the cache) instead of re-executing them.
+    /// Layer it over a persistent [`crate::store::ResultStore`] with
+    /// [`ResultCache::with_store`]. Inside a [`crate::engine::Suite`], this
+    /// cache wins over the suite's.
     #[must_use]
-    pub fn with_result_cache(mut self, cache: crate::engine::planner::ResultCache) -> Session {
-        self.options.cache = Some(cache);
+    pub fn with_result_cache(mut self, cache: ResultCache) -> Session {
+        self.cache = Some(cache);
         self
-    }
-
-    /// Installs a result cache layered over a persistent
-    /// [`crate::store::ResultStore`] backend — the session-level analogue
-    /// of [`crate::engine::Suite::with_store`].
-    #[must_use]
-    pub fn with_store(self, store: shim_sync::sync::Arc<dyn crate::store::ResultStore>) -> Session {
-        self.with_result_cache(crate::engine::planner::ResultCache::with_store(store))
     }
 
     /// The frozen setup.
@@ -103,7 +101,8 @@ impl Session {
 
     /// Steps 1–10: the full campaign.
     pub fn execute(&self, app: &dyn Application) -> CampaignReport {
-        self.execute_streaming(app, &mut |_| {})
+        let campaign = self.campaign(app);
+        drive_one(Bound::new(&campaign))
     }
 
     /// Executes a pre-built plan (lets callers inspect or prune it first).
@@ -112,23 +111,14 @@ impl Session {
     /// is performed.
     pub fn execute_plan(&self, app: &dyn Application, plan: &CampaignPlan) -> CampaignReport {
         let campaign = self.campaign(app);
-        let bound = Bound {
+        drive_one(Bound {
+            campaign: &campaign,
             plan: Some((plan, plan.jobs())),
-            ..Bound::new(&campaign)
-        };
-        drive_one(bound, &mut |_| {})
+        })
     }
 
-    /// As [`Session::execute`], streaming every record to `on_record` as
-    /// soon as its run completes (completion order; the report is in plan
-    /// order).
-    pub fn execute_streaming(&self, app: &dyn Application, on_record: &mut dyn FnMut(&FaultRecord)) -> CampaignReport {
-        let campaign = self.campaign(app);
-        drive_one(Bound::new(&campaign), on_record)
-    }
-
-    /// The paper's incremental step 9: perturb site by site until the
-    /// interaction-coverage criterion is met.
+    /// The paper's incremental step 9: perturb sites in plan order until
+    /// the interaction-coverage criterion is met.
     ///
     /// Returns the report of the incremental campaign; its interaction
     /// coverage is the smallest prefix coverage `>= criterion` (or the full
@@ -137,47 +127,34 @@ impl Session {
         let campaign = self.campaign(app);
         let full = campaign.plan();
         let total = full.sites.iter().filter(|s| !s.faults.is_empty()).count();
-        let mut records = Vec::new();
-        let mut covered = 0usize;
-        // `plan_budget` caps executed runs across the whole incremental
-        // campaign, not per site batch: the remaining allowance carries
-        // over, decremented by what each batch actually executed.
-        let mut budget = self.options.plan_budget;
-        for site in full.sites.iter().filter(|s| s.included && !s.faults.is_empty()) {
-            // Each site's batch goes through the driver (dedup + memo +
-            // budget), so the incremental §3.3 criterion run honors the
-            // planning options too; records stay in plan order within the
-            // batch.
-            let bound = Bound {
-                campaign: &campaign,
-                plan: Some((&full, site.jobs())),
-                budget,
-            };
-            let batch = drive_one(bound, &mut |_| {});
-            if let Some(left) = &mut budget {
-                *left = left.saturating_sub(batch.runs_executed());
-            }
-            // Under a budget, a site whose batch produced nothing was not
-            // perturbed and must not count toward the coverage criterion.
-            if !batch.records.is_empty() || budget.is_none() {
-                covered += 1;
-            }
-            records.extend(batch.records);
-            if total > 0 && covered as f64 / total as f64 >= min_interaction_coverage {
-                break;
-            }
-        }
+        let included: Vec<_> = full
+            .sites
+            .iter()
+            .filter(|s| s.included && !s.faults.is_empty())
+            .collect();
+        // Coverage depends only on which sites ran, so the covered prefix is
+        // known before anything runs: the fewest sites (at least one) that
+        // meet the criterion, or every included site when none do.
+        let covered = (1..=included.len())
+            .find(|&k| k as f64 / total as f64 >= min_interaction_coverage)
+            .unwrap_or(included.len());
+        let jobs = included[..covered].iter().flat_map(|s| s.jobs()).collect();
+        let report = drive_one(Bound {
+            campaign: &campaign,
+            plan: Some((&full, jobs)),
+        });
         CampaignReport {
-            app: app.name().to_string(),
-            total_sites: total,
             perturbed_sites: covered,
-            clean_violations: full.clean.violations.len(),
-            records,
+            ..report
         }
     }
 
     pub(crate) fn campaign<'a>(&'a self, app: &'a dyn Application) -> Campaign<'a> {
-        Campaign::new(app, &self.setup, self.options.clone())
+        let mut campaign = Campaign::new(app, &self.setup, self.options.clone());
+        if let Some(cache) = &self.cache {
+            campaign.ensure_cache(cache.clone());
+        }
+        campaign
     }
 }
 
@@ -244,17 +221,5 @@ mod tests {
         assert!(s.world().trace.sites().is_empty());
         assert_eq!(s.world().audit.len(), 0);
         assert!(!s.world().fs.exists("/var/spool/lpd/job"));
-    }
-
-    #[test]
-    fn streaming_sees_every_record() {
-        let s = session();
-        let mut streamed = Vec::new();
-        let report = s.execute_streaming(&MiniLpr, &mut |r| streamed.push(r.fault_id.clone()));
-        assert_eq!(streamed.len(), report.injected());
-        let mut in_report: Vec<String> = report.records.iter().map(|r| r.fault_id.clone()).collect();
-        streamed.sort();
-        in_report.sort();
-        assert_eq!(streamed, in_report);
     }
 }

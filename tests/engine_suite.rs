@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use epa::apps::*;
 use epa::core::campaign::CampaignOptions;
-use epa::core::engine::{Session, Suite, SuiteEvent, SuiteReport};
+use epa::core::engine::{ResultCache, Session, Suite, SuiteEvent, SuiteReport};
 
 #[test]
 fn the_standard_suite_runs_all_eight_apps_in_one_batch() {
@@ -126,36 +126,69 @@ fn engine_builds_suites_from_heterogeneous_pairs() {
 }
 
 #[test]
-fn budgeted_suites_charge_only_executed_runs() {
-    // `plan_budget` caps executed runs; replays are free. Registering the
-    // same campaign twice makes the second replay whatever the first
-    // already executed (shared scope, shared suite cache) — claim replays
-    // included, whichever worker count interleaves the two.
-    let budgeted = CampaignOptions {
-        plan_budget: Some(2),
-        ..Default::default()
-    };
-    for workers in [1usize, 2, 4] {
-        for _ in 0..20 {
-            let mut suite = Suite::new().with_workers(workers);
-            for _ in 0..2 {
-                let session = Session::new(&lpr::spec()).expect("valid spec");
-                suite.register_session(Lpr, session.with_options(budgeted.clone()));
-            }
-            let report = suite.execute();
-            for r in &report.reports {
-                assert_eq!(
-                    r.runs_executed(),
-                    2,
-                    "workers={workers}: {}:{}/{}/{} (injected:executed/replayed/pruned)",
-                    r.injected(),
-                    r.runs_executed(),
-                    r.cache_hits(),
-                    r.pruned()
+fn execute_until_returns_a_site_prefix_of_execute() {
+    for (app, spec) in standard_apps() {
+        let name = app.name();
+        let session = Session::new(&spec).expect("valid spec");
+        let full = session.execute(app.as_ref());
+        let included: Vec<String> = session
+            .plan(app.as_ref())
+            .sites
+            .iter()
+            .filter(|s| s.included && !s.faults.is_empty())
+            .map(|s| s.summary.site.to_string())
+            .collect();
+        let total = full.total_sites as f64;
+        for criterion in [0.0, 0.3, 0.5, 1.0, 2.0] {
+            let until = session.execute_until(app.as_ref(), criterion);
+            assert_eq!(until.total_sites, full.total_sites, "{name} @ {criterion}: total sites");
+            // The smallest k >= 1 with k/total >= criterion, or every
+            // included site when no such k exists.
+            let k = until.perturbed_sites;
+            if included.is_empty() {
+                assert_eq!(k, 0, "{name} @ {criterion}: nothing to perturb");
+            } else {
+                assert!((1..=included.len()).contains(&k), "{name} @ {criterion}: k = {k}");
+                assert!(
+                    k as f64 / total >= criterion || k == included.len(),
+                    "{name} @ {criterion}: {k} sites fall short of the criterion"
+                );
+                assert!(
+                    k == 1 || ((k - 1) as f64 / total) < criterion,
+                    "{name} @ {criterion}: {k} sites is not the smallest prefix"
                 );
             }
+            let prefix = &included[..k];
+            let expected: Vec<_> = full
+                .records
+                .iter()
+                .filter(|r| prefix.contains(&r.site))
+                .cloned()
+                .collect();
+            assert_eq!(
+                until.records, expected,
+                "{name} @ {criterion}: records of the first {k} sites"
+            );
         }
     }
+}
+
+#[test]
+fn a_sessions_own_cache_wins_inside_a_suite() {
+    let own = ResultCache::new();
+    let shared = ResultCache::new();
+    let mut suite = Suite::new().with_result_cache(shared.clone());
+    let session = Session::new(&lpr::spec()).expect("valid spec");
+    suite.register_session(Lpr, session.with_result_cache(own.clone()));
+    suite.register(Turnin, &turnin::spec()).expect("valid spec");
+    let report = suite.execute();
+    let lpr = report.get("lpr").expect("lpr ran").runs_executed();
+    let turnin = report.get("turnin").expect("turnin ran").runs_executed();
+    assert!(lpr > 0 && turnin > 0);
+    // Every executed run is one distinct key: each lands in exactly one
+    // cache, the session's own for lpr and the suite's for turnin.
+    assert_eq!(own.stats().entries, lpr, "the session cache holds lpr's runs");
+    assert_eq!(shared.stats().entries, turnin, "the suite cache holds turnin's only");
 }
 
 #[test]
