@@ -42,18 +42,29 @@ use epa_sandbox::policy::OracleSet;
 /// The pinned worker counts every pooled measurement runs at.
 const WORKER_COUNTS: [usize; 3] = [1, 4, 8];
 
-/// Median wall-clock nanoseconds of `f` over `samples` runs.
-fn median_ns<O>(samples: usize, mut f: impl FnMut() -> O) -> u128 {
-    let _ = std::hint::black_box(f());
-    let mut times: Vec<Duration> = (0..samples)
-        .map(|_| {
+/// Median wall-clock nanoseconds of each closure in `fs` over `samples`
+/// rounds. The samples are interleaved: every round times each closure
+/// once, in order, so a drift in the host's speed during the measurement
+/// hits every side alike instead of whichever side was timed during it.
+fn interleaved_medians_ns(samples: usize, mut fs: Vec<Box<dyn FnMut() -> usize + '_>>) -> Vec<u128> {
+    for f in &mut fs {
+        let _ = std::hint::black_box(f());
+    }
+    let mut times: Vec<Vec<Duration>> = vec![Vec::with_capacity(samples); fs.len()];
+    for _ in 0..samples {
+        for (f, t) in fs.iter_mut().zip(&mut times) {
             let start = Instant::now();
             let _ = std::hint::black_box(f());
-            start.elapsed()
+            t.push(start.elapsed());
+        }
+    }
+    times
+        .into_iter()
+        .map(|mut t| {
+            t.sort();
+            t[t.len() / 2].as_nanos()
         })
-        .collect();
-    times.sort();
-    times[times.len() / 2].as_nanos()
+        .collect()
 }
 
 /// One comparable line per record: identity plus the serialized verdicts.
@@ -166,19 +177,27 @@ fn main() {
     }
     let oracle_samples = 15;
     let mut per_event_verdicts = 0usize;
-    let per_event_ns = median_ns(oracle_samples, || {
-        let mut set = OracleSet::standard();
-        for (idx, event) in big.iter() {
-            set.observe(idx, event);
-        }
-        per_event_verdicts = set.finish().len();
-    });
     let mut batched_verdicts = 0usize;
-    let batched_ns = median_ns(oracle_samples, || {
-        let mut set = OracleSet::standard();
-        set.observe_slice(0, big.events());
-        batched_verdicts = set.finish().len();
-    });
+    let oracle_ns = interleaved_medians_ns(
+        oracle_samples,
+        vec![
+            Box::new(|| {
+                let mut set = OracleSet::standard();
+                for (idx, event) in big.iter() {
+                    set.observe(idx, event);
+                }
+                per_event_verdicts = set.finish().len();
+                per_event_verdicts
+            }),
+            Box::new(|| {
+                let mut set = OracleSet::standard();
+                set.observe_slice(0, big.events());
+                batched_verdicts = set.finish().len();
+                batched_verdicts
+            }),
+        ],
+    );
+    let (per_event_ns, batched_ns) = (oracle_ns[0], oracle_ns[1]);
     assert_eq!(
         batched_verdicts, per_event_verdicts,
         "batched and per-event dispatch must produce identical verdict counts"
@@ -198,8 +217,7 @@ fn main() {
         !suite_seq_verdicts.is_empty(),
         "the sequential standard suite must produce verdicts"
     );
-    let suite_seq_ns = median_ns(suite_samples, || fresh_suite().sequential().execute().reports.len());
-    let mut suite_rows: Vec<(usize, u128, usize)> = Vec::new();
+    let mut suite_peaks = Vec::new();
     for &w in &WORKER_COUNTS {
         let (digest, peak) = pooled_once(fresh_suite(), w);
         assert_eq!(
@@ -210,9 +228,24 @@ fn main() {
             peak <= w,
             "suite at {w} pinned workers must never exceed that ceiling, saw {peak}"
         );
-        let ns = median_ns(suite_samples, || fresh_suite().with_workers(w).execute().reports.len());
-        suite_rows.push((w, ns, peak));
+        suite_peaks.push(peak);
     }
+    let suite_ns = interleaved_medians_ns(
+        suite_samples,
+        std::iter::once(None)
+            .chain(WORKER_COUNTS.map(Some))
+            .map(|workers| -> Box<dyn FnMut() -> usize> {
+                Box::new(move || match workers {
+                    None => fresh_suite().sequential().execute().reports.len(),
+                    Some(w) => fresh_suite().with_workers(w).execute().reports.len(),
+                })
+            })
+            .collect(),
+    );
+    let suite_seq_ns = suite_ns[0];
+    let suite_rows: Vec<(usize, u128, usize)> = (0..WORKER_COUNTS.len())
+        .map(|k| (WORKER_COUNTS[k], suite_ns[k + 1], suite_peaks[k]))
+        .collect();
 
     // ── 4. The 120-scenario corpus as a pooled suite. ──────────────────
     let config = CorpusConfig {
@@ -222,21 +255,32 @@ fn main() {
     let scenarios = synthesize(&config);
     let corpus_samples = 5;
     let corpus_seq_verdicts = verdict_set(&corpus_suite(&scenarios).sequential().execute());
-    let corpus_seq_ns = median_ns(corpus_samples, || {
-        corpus_suite(&scenarios).sequential().execute().reports.len()
-    });
-    let mut corpus_rows: Vec<(usize, u128, usize)> = Vec::new();
+    let mut corpus_peaks = Vec::new();
     for &w in &WORKER_COUNTS {
         let (digest, peak) = pooled_once(corpus_suite(&scenarios), w);
         assert_eq!(
             digest, corpus_seq_verdicts,
             "corpus-suite verdicts at {w} workers must be byte-identical to sequential"
         );
-        let ns = median_ns(corpus_samples, || {
-            corpus_suite(&scenarios).with_workers(w).execute().reports.len()
-        });
-        corpus_rows.push((w, ns, peak));
+        corpus_peaks.push(peak);
     }
+    let corpus_ns = interleaved_medians_ns(
+        corpus_samples,
+        std::iter::once(None)
+            .chain(WORKER_COUNTS.map(Some))
+            .map(|workers| -> Box<dyn FnMut() -> usize + '_> {
+                let scenarios = &scenarios;
+                Box::new(move || match workers {
+                    None => corpus_suite(scenarios).sequential().execute().reports.len(),
+                    Some(w) => corpus_suite(scenarios).with_workers(w).execute().reports.len(),
+                })
+            })
+            .collect(),
+    );
+    let corpus_seq_ns = corpus_ns[0];
+    let corpus_rows: Vec<(usize, u128, usize)> = (0..WORKER_COUNTS.len())
+        .map(|k| (WORKER_COUNTS[k], corpus_ns[k + 1], corpus_peaks[k]))
+        .collect();
 
     // The full differential sweep — every scenario through every execution
     // path of the harness — under the sharded queue at a pinned multi-worker

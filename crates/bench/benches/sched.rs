@@ -6,8 +6,8 @@
 //!
 //! 1. **Exploration cost of the clean fixtures** — every production
 //!    concurrency protocol fixture (executor close/pending queue, result
-//!    cache claim + abandon, indexed and expanding plan-order
-//!    reassembly) is explored to completion under the preemption bound,
+//!    cache claim + abandon, a schedule lookup racing a claim, indexed and
+//!    expanding plan-order reassembly) is explored to completion under the preemption bound,
 //!    recording interleavings explored and max schedule depth. Any
 //!    failure here is a regression in a shipped protocol.
 //! 2. **Mutation kill gate** — the two seeded bugs (pending decrement
@@ -55,6 +55,7 @@ fn main() {
         modelcheck::check_close_protocol(&cfg()),
         modelcheck::check_claim_protocol(&cfg()),
         modelcheck::check_claim_abandon(&cfg()),
+        modelcheck::check_lookup_races_claim(&cfg()),
         modelcheck::check_indexed_reassembly(&cfg()),
         modelcheck::check_expanding_reassembly(&cfg()),
     ];

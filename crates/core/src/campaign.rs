@@ -30,7 +30,7 @@ use epa_sandbox::syscall::Interceptor;
 use epa_sandbox::trace::{SiteId, SiteSummary};
 
 use crate::catalog::{faults_for_site, DirectContext};
-use crate::engine::planner::{Claim, FaultKey, ResultCache, RunDigest, Schedule};
+use crate::engine::planner::{Claim, FaultKey, PruneFn, ResultCache, RunDigest, Schedule};
 use crate::inject::{InjectionHook, InjectionPlan};
 use crate::perturb::ConcreteFault;
 use crate::report::{CampaignReport, FaultRecord};
@@ -380,10 +380,19 @@ pub(crate) struct Campaign<'a> {
     /// The memoization scope (app identity + setup fingerprint), computed
     /// at most once per campaign — the world hash is cheap, but not free.
     scope: shim_sync::sync::OnceLock<u64>,
-    /// The static analysis of this campaign's clean run, built at most once
-    /// (by [`Campaign::seed_analysis`]) and only when
-    /// [`CampaignOptions::static_prune`] is on.
-    analysis: shim_sync::sync::OnceLock<crate::analysis::AppAnalysis>,
+}
+
+/// A campaign ready for the driver, built by [`Campaign::prepare`]: the
+/// report without its records, the flat job list in plan order, and the
+/// jobs' schedule.
+pub(crate) struct Prepared {
+    /// The campaign's report with no records yet: site counts and the
+    /// clean run's violation count.
+    pub(crate) header: CampaignReport,
+    /// The injection jobs to run, in plan order.
+    pub(crate) jobs: Vec<InjectionPlan>,
+    /// Who executes, who replays, and what was pruned or resolved.
+    pub(crate) schedule: Schedule,
 }
 
 impl<'a> Campaign<'a> {
@@ -394,7 +403,6 @@ impl<'a> Campaign<'a> {
             options,
             cache: None,
             scope: shim_sync::sync::OnceLock::new(),
-            analysis: shim_sync::sync::OnceLock::new(),
         }
     }
 
@@ -414,22 +422,9 @@ impl<'a> Campaign<'a> {
         })
     }
 
-    /// Builds the static analysis that [`Campaign::schedule`] prunes with
-    /// from `clean`, this campaign's clean run (a no-op when pre-pruning is
-    /// off or the analysis exists). [`Campaign::plan`] seeds it with its
-    /// own clean run and the driver with the clean run of a plan the
-    /// campaign arrives with, so the analysis never costs a clean run.
-    pub(crate) fn seed_analysis(&self, clean: &RunOutcome) {
-        if self.options.static_prune {
-            self.analysis
-                .get_or_init(|| crate::analysis::AppAnalysis::from_clean_run(self.setup, clean));
-        }
-    }
-
     /// Steps 1–5: trace the application and build the fault plan.
     pub(crate) fn plan(&self) -> CampaignPlan {
         let clean = run_once(self.setup, self.app, None);
-        self.seed_analysis(&clean);
         let summaries = clean.os.trace.sites();
         let reaccessed = clean.os.trace.reaccessed_files();
         let mut exec_resolutions: BTreeMap<String, String> = BTreeMap::new();
@@ -516,23 +511,40 @@ impl<'a> Campaign<'a> {
         }
     }
 
-    /// Canonicalizes a flat job list against this campaign's scope, cache,
-    /// and dedup setting (the planner's entry point; the driver runs the
-    /// schedule so cache replays never occupy a worker slot). With
-    /// pre-pruning on, the analysis must be seeded first.
-    pub(crate) fn schedule(&self, jobs: &[InjectionPlan]) -> Schedule {
+    /// Everything between the fault plan and the first perturbed run.
+    /// Traces and plans the campaign, or takes `given` (a plan and the jobs
+    /// to run from it). Then builds the static analysis from the plan's
+    /// clean run (with pre-pruning on), schedules the jobs against this
+    /// campaign's scope, cache and dedup setting, and builds the report
+    /// header. The plan, its clean run and the analysis are dropped here:
+    /// on the pool worker that ran the driver's planning job.
+    ///
+    /// Cache lookups never block ([`ResultCache::lookup`]): a run another
+    /// thread is executing reads as pending, and the executing path
+    /// resolves the race in [`ResultCache::begin`].
+    pub(crate) fn prepare(&self, given: Option<(&CampaignPlan, Vec<InjectionPlan>)>) -> Prepared {
+        let planned;
+        let (plan, jobs) = match given {
+            Some(given) => given,
+            None => {
+                planned = self.plan();
+                let jobs = planned.jobs();
+                (&planned, jobs)
+            }
+        };
+        let analysis = self
+            .options
+            .static_prune
+            .then(|| crate::analysis::AppAnalysis::from_clean_run(self.setup, &plan.clean));
+        let pruned_digest = |job: &InjectionPlan| analysis.as_ref().and_then(|a| a.pruned_digest(job));
+        let prune = analysis.is_some().then_some(&pruned_digest as PruneFn<'_>);
         let scope = if self.cache.is_some() { self.scope() } else { 0 };
-        let analysis = self.analysis.get();
-        assert_eq!(
-            analysis.is_some(),
-            self.options.static_prune,
-            "a pruning campaign's analysis is seeded before it schedules"
-        );
-        let prune = analysis.map(|a| move |job: &InjectionPlan| a.pruned_digest(job));
-        let prune_ref: Option<crate::engine::planner::PruneFn<'_>> = prune
-            .as_ref()
-            .map(|f| f as &dyn Fn(&InjectionPlan) -> Option<RunDigest>);
-        Schedule::build(jobs, scope, self.cache.as_ref(), self.options.dedup, prune_ref)
+        let schedule = Schedule::build(&jobs, scope, self.cache.as_ref(), self.options.dedup, prune);
+        Prepared {
+            header: self.report_from(plan, Vec::new()),
+            jobs,
+            schedule,
+        }
     }
 
     /// Folds a finished campaign's records (in plan order) into its report.

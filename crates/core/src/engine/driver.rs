@@ -7,17 +7,21 @@
 //! drives all of its campaigns over one shared [`Executor`] queue.
 //!
 //! Every campaign contributes a planning job (unless it arrives with a
-//! pre-built plan). Completing it runs the planner over the campaign's
-//! `(site, occurrence, fault)` jobs — statically pruned jobs, cache hits
-//! and dedup aliases resolve inline on the calling thread, never occupying
-//! a worker slot — and fans only the remaining canonical misses back onto
-//! the same queue, so idle workers steal across campaign boundaries.
-//! Records are reassembled into plan order by job index, so every worker
-//! count yields byte-identical reports.
+//! pre-built plan, which is prepared up front on the calling thread). A
+//! worker runs it whole ([`Campaign::prepare`]): the clean trace, the fault
+//! plan, the static analysis, the canonical keys and the non-blocking cache
+//! and store lookups of the campaign's schedule, and the report header. So
+//! campaigns plan in parallel, and alongside other campaigns' injections.
+//! The calling thread only books results: it replays the statically pruned
+//! and cache-resolved jobs (with their dedup aliases) from the schedule's
+//! digests, never occupying a worker slot, and fans the remaining
+//! canonical misses back onto the same queue, so idle workers steal across
+//! campaign boundaries. Records are reassembled into plan order by job
+//! index, so every worker count yields byte-identical reports.
 
-use crate::campaign::{Campaign, CampaignPlan};
+use crate::campaign::{Campaign, CampaignPlan, Prepared};
 use crate::engine::executor::Executor;
-use crate::engine::planner::{RunDigest, Schedule};
+use crate::engine::planner::RunDigest;
 use crate::inject::InjectionPlan;
 use crate::report::{CampaignReport, FaultRecord};
 
@@ -47,7 +51,7 @@ pub(crate) enum Progress<'r> {
 
 /// One unit of work on the shared queue.
 enum Job {
-    /// Trace campaign `app` and build its fault plan.
+    /// Trace, plan and schedule campaign `app` ([`Campaign::prepare`]).
     Plan(usize),
     /// Run injection job `idx` of campaign `app`'s plan.
     Inject {
@@ -61,7 +65,7 @@ enum Job {
 enum Done {
     Planned {
         app: usize,
-        plan: Box<CampaignPlan>,
+        prepared: Box<Prepared>,
     },
     Ran {
         app: usize,
@@ -78,27 +82,20 @@ pub(crate) fn drive(
     on_progress: &mut dyn FnMut(usize, Progress<'_>),
 ) -> Vec<CampaignReport> {
     let campaigns: Vec<&Campaign<'_>> = bound.iter().map(|b| b.campaign).collect();
-    let mut slots = Vec::with_capacity(bound.len());
+    let mut slots: Vec<Slot> = (0..bound.len()).map(|_| Slot::default()).collect();
     let mut seed = Vec::new();
     for (app, b) in bound.into_iter().enumerate() {
-        let mut slot = Slot::default();
         match b.plan {
             None => seed.push(Job::Plan(app)),
-            Some((plan, jobs)) => {
-                // The plan already holds the clean run the analysis needs.
-                campaigns[app].seed_analysis(&plan.clean);
-                slot.given = Some(plan);
-                seed.extend(slot.start(app, campaigns[app], jobs, on_progress));
-            }
+            Some(given) => seed.extend(slots[app].start(app, campaigns[app].prepare(Some(given)), on_progress)),
         }
-        slots.push(slot);
     }
     executor.run_expanding(
         seed,
         |job| match job {
             Job::Plan(app) => Done::Planned {
                 app,
-                plan: Box::new(campaigns[app].plan()),
+                prepared: Box::new(campaigns[app].prepare(None)),
             },
             Job::Inject { app, idx, plan } => Done::Ran {
                 app,
@@ -110,14 +107,9 @@ pub(crate) fn drive(
             },
         },
         &mut |done| match done {
-            Done::Planned { app, plan } => {
-                let jobs = plan.jobs();
-                let slot = &mut slots[app];
-                slot.planned = Some(plan);
-                slot.start(app, campaigns[app], jobs, on_progress)
-            }
+            Done::Planned { app, prepared } => slots[app].start(app, *prepared, on_progress),
             Done::Ran { app, idx, record } => {
-                slots[app].complete(app, campaigns[app], idx, record, on_progress);
+                slots[app].complete(app, idx, record, on_progress);
                 Vec::new()
             }
         },
@@ -136,30 +128,21 @@ pub(crate) fn drive_one(bound: Bound<'_, '_>) -> CampaignReport {
 
 /// Per-campaign assembly state while the driver runs.
 #[derive(Default)]
-struct Slot<'c> {
-    /// The plan the campaign arrived with, or the one planned on the pool.
-    given: Option<&'c CampaignPlan>,
-    planned: Option<Box<CampaignPlan>>,
-    jobs: Vec<InjectionPlan>,
-    schedule: Option<Schedule>,
+struct Slot {
+    /// The prepared campaign: its report header, jobs and schedule.
+    prepared: Option<Prepared>,
     records: Vec<Option<FaultRecord>>,
     /// Jobs on the queue (or running) whose results are still due.
     outstanding: usize,
     report: Option<CampaignReport>,
 }
 
-impl<'c> Slot<'c> {
-    /// Schedules the campaign's jobs: resolves statically pruned jobs and
-    /// cache replays (with their aliases) inline, then returns every
-    /// pending execution, in plan order, for the queue.
-    fn start(
-        &mut self,
-        app: usize,
-        campaign: &Campaign<'_>,
-        jobs: Vec<InjectionPlan>,
-        on_progress: &mut dyn FnMut(usize, Progress<'_>),
-    ) -> Vec<Job> {
-        let schedule = campaign.schedule(&jobs);
+impl Slot {
+    /// Takes the campaign's finished schedule: replays its statically
+    /// pruned and cache-resolved jobs (with their aliases), then returns
+    /// every pending execution, in plan order, for the queue.
+    fn start(&mut self, app: usize, prepared: Prepared, on_progress: &mut dyn FnMut(usize, Progress<'_>)) -> Vec<Job> {
+        let Prepared { jobs, schedule, .. } = &prepared;
         self.records = (0..jobs.len()).map(|_| None).collect();
         let replays = schedule
             .pruned
@@ -187,10 +170,9 @@ impl<'c> Slot<'c> {
             })
             .collect();
         self.outstanding = next.len();
-        self.jobs = jobs;
-        self.schedule = Some(schedule);
+        self.prepared = Some(prepared);
         if self.outstanding == 0 {
-            self.finish(app, campaign, on_progress);
+            self.finish(app, on_progress);
         }
         next
     }
@@ -201,39 +183,38 @@ impl<'c> Slot<'c> {
     fn complete(
         &mut self,
         app: usize,
-        campaign: &Campaign<'_>,
         idx: usize,
         record: FaultRecord,
         on_progress: &mut dyn FnMut(usize, Progress<'_>),
     ) {
         on_progress(app, Progress::Record(&record));
         self.outstanding -= 1;
-        let schedule = self.schedule.as_ref().expect("schedule arrives before its records");
-        let aliases = schedule.aliases_of(idx);
+        let prepared = self.prepared.as_ref().expect("schedule arrives before its records");
+        let aliases = prepared.schedule.aliases_of(idx);
         if !aliases.is_empty() {
             let digest = RunDigest::of(&record);
             for &alias in aliases {
-                let replay = digest.replay(&self.jobs[alias]);
+                let replay = digest.replay(&prepared.jobs[alias]);
                 on_progress(app, Progress::Record(&replay));
                 self.records[alias] = Some(replay);
             }
         }
         self.records[idx] = Some(record);
         if self.outstanding == 0 {
-            self.finish(app, campaign, on_progress);
+            self.finish(app, on_progress);
         }
     }
 
     /// Folds the finished campaign's records (already in plan order by
     /// index) into its report.
-    fn finish(&mut self, app: usize, campaign: &Campaign<'_>, on_progress: &mut dyn FnMut(usize, Progress<'_>)) {
-        // The plan is dropped with this call: a suite holds no finished
-        // campaign's clean run.
-        let planned = self.planned.take();
-        let plan = planned
-            .as_deref()
-            .or(self.given)
-            .expect("plan arrives before its records");
+    fn finish(&mut self, app: usize, on_progress: &mut dyn FnMut(usize, Progress<'_>)) {
+        // The jobs and schedule are dropped with this call: a suite holds
+        // nothing of a finished campaign but its report.
+        let header = self
+            .prepared
+            .take()
+            .expect("schedule arrives before its records")
+            .header;
         // A missing record is an accounting bug and must fail loudly, not
         // silently truncate the report.
         let records: Vec<FaultRecord> = self
@@ -241,7 +222,7 @@ impl<'c> Slot<'c> {
             .drain(..)
             .map(|r| r.expect("all records complete before the campaign finishes"))
             .collect();
-        let report = campaign.report_from(plan, records);
+        let report = CampaignReport { records, ..header };
         on_progress(app, Progress::Finished(&report));
         self.report = Some(report);
     }

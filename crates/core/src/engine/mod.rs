@@ -22,13 +22,17 @@
 //! 5. **[`Executor`]** (`executor`) — the single suite-wide work pool:
 //!    every injected run (across all applications) goes into one shared
 //!    queue drained by at most `available_parallelism` workers, with
-//!    deterministic plan-order reassembly of the results. Cache replays
-//!    resolve inline on the calling thread and never occupy a worker slot.
+//!    deterministic plan-order reassembly of the results. Each campaign's
+//!    planning job — clean trace, fault plan, static analysis and
+//!    schedule, cache and store lookups included — runs on a worker too,
+//!    so campaigns plan in parallel; cache replays never occupy a worker
+//!    slot of their own.
 //!
 //! Underneath, one crate-private driver (`driver`) turns plans into
 //! records for both front-ends: a session runs it inline on the calling
-//! thread, a suite runs it over its worker pool. Parallelism is a suite
-//! property ([`Suite::with_workers`], `EPA_WORKERS`).
+//! thread, a suite runs it over its worker pool, with the calling thread
+//! only booking results. Parallelism is a suite property
+//! ([`Suite::with_workers`], `EPA_WORKERS`).
 //!
 //! # Example
 //!

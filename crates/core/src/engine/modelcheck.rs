@@ -162,6 +162,64 @@ pub fn check_claim_abandon(cfg: &Config) -> Report {
     })
 }
 
+/// A schedule lookup racing a claim, on the **production**
+/// [`ResultCache`]: the shape of a campaign's planning job on one worker
+/// while another worker executes a run of the same key. The claimant runs
+/// `begin` then `fulfill`; the planner runs `lookup` and, on a miss,
+/// `begin`. In every schedule the lookup returns without waiting, it
+/// returns nothing or the fulfilled digest, and the run executes exactly
+/// once.
+///
+/// "Without waiting" is made checkable: a claimant that sees the lookup
+/// already under way holds its claim until the lookup has returned. A
+/// lookup that blocked on the in-flight claim would then wait on a
+/// claimant that waits on it, and the checker reports the deadlock. A
+/// claimant that sees no lookup under way fulfils at once, so the lookup
+/// can also land after the digest is published.
+pub fn check_lookup_races_claim(cfg: &Config) -> Report {
+    check("cache.lookup_races_claim", cfg, || {
+        let cache = ResultCache::new();
+        let key = FaultKey::synthetic("site#0|-|{}");
+        let executed = Arc::new(AtomicUsize::new(0));
+        let looking = Arc::new(AtomicUsize::new(0));
+        let (looked, lookup_returned) = mpsc::channel::<()>();
+        thread::scope(|scope| {
+            {
+                let (cache, key, executed, looking) = (cache.clone(), key.clone(), executed.clone(), looking.clone());
+                scope.spawn(move || match cache.begin(7, &key) {
+                    Claim::Execute(token) => {
+                        executed.fetch_add(1, Ordering::SeqCst);
+                        if looking.load(Ordering::SeqCst) == 1 {
+                            lookup_returned.recv().expect("the planner reports its lookup");
+                        }
+                        token.fulfill(digest(3));
+                    }
+                    Claim::Replay(d) => assert_eq!(d.exit, Some(3), "replayed the published digest"),
+                });
+            }
+            let (cache, key, executed) = (cache.clone(), key.clone(), executed.clone());
+            scope.spawn(move || {
+                looking.store(1, Ordering::SeqCst);
+                let seen = cache.lookup(7, &key);
+                // The claimant may have stopped listening; that is fine.
+                let _ = looked.send(());
+                match seen {
+                    Some(d) => assert_eq!(d.exit, Some(3), "a lookup hit is the fulfilled digest"),
+                    None => match cache.begin(7, &key) {
+                        Claim::Execute(token) => {
+                            executed.fetch_add(1, Ordering::SeqCst);
+                            token.fulfill(digest(3));
+                        }
+                        Claim::Replay(d) => assert_eq!(d.exit, Some(3), "replayed the published digest"),
+                    },
+                }
+            });
+        });
+        assert_eq!(executed.load(Ordering::SeqCst), 1, "the run executes exactly once");
+        assert_eq!(cache.stats().entries, 1);
+    })
+}
+
 /// Seeded mutant of [`check_claim_protocol`]: a claim protocol whose
 /// `fulfill` drops the `Pending` slot and signals before publishing.
 /// The checker must find the schedule where a waiter rechecks in the

@@ -27,9 +27,10 @@
 //!    every run starts from a copy-on-write snapshot of it: the frozen
 //!    world is hashed once per campaign, not once per run.
 //!
-//! Cache hits never occupy executor worker slots: the scheduling layer
-//! resolves them inline on the calling thread and only true misses are
-//! handed to the pool.
+//! Cache hits never occupy executor worker slots of their own: a
+//! campaign's [`Schedule`] is built inside its planning job on a pool
+//! worker, with non-blocking [`ResultCache::lookup`]s, and only true
+//! misses are handed to the pool as injection jobs.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -461,9 +462,11 @@ impl ResultCache {
     /// Looks up the digest of an identical prior run, counting the outcome.
     ///
     /// Never blocks on other threads: an in-flight claim reads as a miss,
-    /// so schedule construction (which runs on the suite's event-loop
-    /// thread) stays non-blocking; the executing path resolves the race in
-    /// [`ResultCache::begin`] instead. A vacant slot consults the
+    /// so schedule construction (which runs in a campaign's planning job,
+    /// on a pool worker, alongside other campaigns' runs) never waits on
+    /// another job; the executing path resolves the race in
+    /// [`ResultCache::begin`] instead. The model-check fixture
+    /// `cache.lookup_races_claim` pins this. A vacant slot consults the
     /// persistent backend (outside the lock) and promotes a hit into the
     /// hot tier, so the disk is read at most once per `(scope, key)`.
     pub fn lookup(&self, scope: u64, key: &FaultKey) -> Option<RunDigest> {
@@ -629,13 +632,13 @@ pub struct Schedule {
     canonical: Vec<usize>,
     aliases: BTreeMap<usize, Vec<usize>>,
     /// Canonical jobs resolved from the [`ResultCache`] at schedule time,
-    /// with their digests — these (and their aliases) replay inline and
-    /// never reach the executor.
+    /// with their digests — these (and their aliases) replay from the
+    /// digest and never reach the executor as jobs.
     pub resolved: Vec<(usize, RunDigest)>,
     /// Canonical jobs the static analysis proved inert at schedule time,
     /// with their synthesized clean-run digests — these (and their aliases)
-    /// replay inline as `pruned` records and never reach the executor or
-    /// the cache.
+    /// replay as `pruned` records and never reach the executor or the
+    /// cache.
     pub pruned: Vec<(usize, RunDigest)>,
     /// Canonical jobs that must execute, in plan order.
     pub pending: Vec<usize>,

@@ -72,6 +72,11 @@ impl Session {
         self
     }
 
+    /// The campaign options.
+    pub(crate) fn options(&self) -> &CampaignOptions {
+        &self.options
+    }
+
     /// The frozen setup.
     pub fn setup(&self) -> &TestSetup {
         &self.setup

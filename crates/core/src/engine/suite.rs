@@ -115,17 +115,18 @@ impl Suite {
     /// are excluded: they replay from synthesized digests and never touch
     /// the store. Planning is deterministic, so the manifest of a suite
     /// equals the manifest of its execution.
+    ///
+    /// Taking the manifest never touches a result cache or its store: the
+    /// campaigns are scheduled with no cache, since keys, canonical and
+    /// pruned indices do not depend on what a cache holds.
     pub fn manifest(&self) -> crate::store::SuiteManifest {
         use crate::store::{AppManifest, ManifestKey, SuiteManifest, MANIFEST_VERSION};
         let apps = self
             .entries
             .iter()
             .map(|e| {
-                let mut campaign = e.session.campaign(e.app.as_ref() as &dyn Application);
-                campaign.ensure_cache(self.cache.clone());
-                let plan = campaign.plan();
-                let jobs = plan.jobs();
-                let schedule = campaign.schedule(&jobs);
+                let campaign = Campaign::new(e.app.as_ref(), e.session.setup(), e.session.options().clone());
+                let schedule = campaign.prepare(None).schedule;
                 let pruned: std::collections::BTreeSet<usize> = schedule.pruned.iter().map(|(i, _)| *i).collect();
                 let keys = (0..schedule.len())
                     .filter(|&i| schedule.canonical_of(i) == i && !pruned.contains(&i))

@@ -5,7 +5,8 @@
 //! Three guarantees are pinned here:
 //!
 //! 1. The production protocols — the executor's sharded close/pending
-//!    queue, the result cache's claim protocol, plan-order reassembly —
+//!    queue, the result cache's claim protocol and its non-blocking
+//!    lookup racing a claim, plan-order reassembly —
 //!    explore **exhaustively** (within the preemption bound) with zero
 //!    races, deadlocks, lost wakeups, and livelocks.
 //! 2. The two seeded mutants (bugs this codebase once shipped or could
@@ -43,6 +44,13 @@ fn claim_protocol_is_clean_under_exhaustive_exploration() {
 #[test]
 fn abandoned_claims_never_strand_a_waiter() {
     modelcheck::check_claim_abandon(&cfg()).assert_complete();
+}
+
+#[test]
+fn a_schedule_lookup_never_waits_on_a_racing_claim() {
+    let report = modelcheck::check_lookup_races_claim(&cfg());
+    report.assert_complete();
+    assert!(report.iterations > 1, "the fixture must actually branch");
 }
 
 #[test]

@@ -4,16 +4,19 @@
 //! byte-identical verdicts — the `cache_hit` provenance flag is the only
 //! permitted difference. Also covers the conservative-miss contract end to
 //! end: a corrupted entry re-executes exactly its own job, heals the
-//! store, and never changes a verdict. And a pooled suite writes each
-//! executed run through to its store exactly once.
+//! store, and never changes a verdict. A pooled suite writes each executed
+//! run through to its store exactly once, and a pooled warm suite reads
+//! each of its manifest keys exactly once. Taking a manifest reads neither
+//! the cache nor the store.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use epa::apps::ScriptedApp;
 use epa::core::corpus::{synthesize_one, DEFAULT_CORPUS_SEED};
-use epa::core::engine::{FaultKey, ResultCache, RunDigest, Session, Suite, SuiteReport};
+use epa::core::engine::{CacheStats, FaultKey, ResultCache, RunDigest, Session, Suite, SuiteReport};
 use epa::core::store::{DiskStore, MemoryStore, ResultStore, SuiteManifest};
 
 /// An empty per-test store directory under `target/` (kept out of the
@@ -222,4 +225,133 @@ fn a_pooled_suite_saves_each_executed_run_exactly_once() {
         "every executed run is written through once, at claim fulfilment"
     );
     assert_eq!(store.entries(), executed, "one distinct entry per executed run");
+}
+
+/// A store wrapper that counts every `load` per `(scope, key)` and passes
+/// everything through to the store it wraps.
+struct LoadCountingStore {
+    inner: Arc<dyn ResultStore>,
+    loads: Mutex<BTreeMap<(u64, String), usize>>,
+}
+
+impl LoadCountingStore {
+    fn over(inner: Arc<dyn ResultStore>) -> LoadCountingStore {
+        LoadCountingStore {
+            inner,
+            loads: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    fn loads(&self) -> BTreeMap<(u64, String), usize> {
+        self.loads.lock().expect("load counts").clone()
+    }
+}
+
+impl ResultStore for LoadCountingStore {
+    fn load(&self, scope: u64, key: &FaultKey) -> Option<RunDigest> {
+        *self
+            .loads
+            .lock()
+            .expect("load counts")
+            .entry((scope, key.repr().to_string()))
+            .or_default() += 1;
+        self.inner.load(scope, key)
+    }
+
+    fn save(&self, scope: u64, key: &FaultKey, digest: &RunDigest) {
+        self.inner.save(scope, key, digest);
+    }
+
+    fn entries(&self) -> usize {
+        self.inner.entries()
+    }
+
+    fn kind(&self) -> &'static str {
+        "load-counting"
+    }
+}
+
+/// The eight-application standard suite over `store`.
+fn standard_suite_over(store: Arc<dyn ResultStore>) -> Suite {
+    epa::apps::standard_suite()
+        .expect("the standard specs materialize")
+        .with_store(store)
+}
+
+/// Every manifest key, by `(scope, key text)`, counted once.
+fn manifest_keys_once(manifest: &SuiteManifest) -> BTreeMap<(u64, String), usize> {
+    manifest
+        .apps
+        .iter()
+        .flat_map(|app| {
+            let scope = u64::from_str_radix(&app.scope, 16).expect("manifest scopes are hex");
+            app.keys.iter().map(move |k| ((scope, k.key.clone()), 1))
+        })
+        .collect()
+}
+
+#[test]
+fn a_pooled_warm_suite_loads_each_manifest_key_once_and_replays_like_the_sequential_one() {
+    let filled: Arc<dyn ResultStore> = Arc::new(MemoryStore::default());
+    let cold = standard_suite_over(filled.clone()).execute();
+    assert!(cold.total_runs_executed() > 0, "the cold pass must actually execute");
+    let expected = manifest_keys_once(&standard_suite_over(filled.clone()).manifest());
+    assert_eq!(expected.len(), filled.entries(), "the manifest covers the filled store");
+
+    let sequential = standard_suite_over(filled.clone()).sequential().execute();
+    assert_eq!(
+        sequential.total_runs_executed(),
+        0,
+        "the sequential warm replay executes nothing"
+    );
+    let reference = serde_json::to_string_pretty(&sequential).expect("suite reports serialize");
+
+    for workers in [2, 4] {
+        let counting = Arc::new(LoadCountingStore::over(filled.clone()));
+        let warm = standard_suite_over(counting.clone()).with_workers(workers).execute();
+        assert_eq!(
+            warm.total_runs_executed(),
+            0,
+            "a warm suite at {workers} workers must execute nothing"
+        );
+        assert_eq!(
+            counting.loads(),
+            expected,
+            "at {workers} workers every manifest key is loaded exactly once, and nothing else is"
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&warm).expect("suite reports serialize"),
+            reference,
+            "records at {workers} workers must be byte-identical to the sequential warm replay"
+        );
+    }
+}
+
+#[test]
+fn taking_a_manifest_touches_neither_the_cache_nor_the_store() {
+    let filled: Arc<dyn ResultStore> = Arc::new(MemoryStore::default());
+    let suite = standard_suite_over(filled.clone());
+    let planned = suite.manifest();
+    assert_eq!(suite.result_cache().stats(), CacheStats::default());
+    let _ = suite.execute();
+
+    // After an execution, as `reproduce -- suite --store` takes it.
+    let stats = suite.result_cache().stats();
+    assert_eq!(
+        suite.manifest(),
+        planned,
+        "executing the suite does not change its manifest"
+    );
+    assert_eq!(
+        suite.result_cache().stats(),
+        stats,
+        "the manifest must not count cache lookups"
+    );
+
+    // In a fresh process over a filled store.
+    let counting = Arc::new(LoadCountingStore::over(filled));
+    let fresh = standard_suite_over(counting.clone());
+    assert_eq!(fresh.manifest(), planned);
+    assert!(counting.loads().is_empty(), "the manifest must not read the store");
+    assert_eq!(fresh.result_cache().stats(), CacheStats::default());
 }
