@@ -49,15 +49,23 @@ pub(crate) enum Progress<'r> {
     Finished(&'r CampaignReport),
 }
 
+/// Pending runs one injection job carries. Each job's records travel back
+/// to the calling thread as one message, and with nothing else to do the
+/// calling thread parks between messages: one run per job wakes it once
+/// per run, which costs a context switch per run on a host with as many
+/// workers as CPUs. A few runs per job keep the end of a batch
+/// fine-grained enough for idle workers to steal.
+const RUNS_PER_JOB: usize = 4;
+
 /// One unit of work on the shared queue.
 enum Job {
     /// Trace, plan and schedule campaign `app` ([`Campaign::prepare`]).
     Plan(usize),
-    /// Run injection job `idx` of campaign `app`'s plan.
+    /// Run `(index, job)` pending injections of campaign `app`'s plan, in
+    /// order.
     Inject {
         app: usize,
-        idx: usize,
-        plan: InjectionPlan,
+        runs: Vec<(usize, InjectionPlan)>,
     },
 }
 
@@ -69,8 +77,7 @@ enum Done {
     },
     Ran {
         app: usize,
-        idx: usize,
-        record: FaultRecord,
+        records: Vec<(usize, FaultRecord)>,
     },
 }
 
@@ -97,19 +104,23 @@ pub(crate) fn drive(
                 app,
                 prepared: Box::new(campaigns[app].prepare(None)),
             },
-            Job::Inject { app, idx, plan } => Done::Ran {
+            Job::Inject { app, runs } => Done::Ran {
                 app,
-                idx,
                 // Claim-aware: when several suites share one cache, a run
                 // another suite is executing right now is waited out and
                 // replayed instead of duplicated.
-                record: campaigns[app].run_job_cached(&plan),
+                records: runs
+                    .iter()
+                    .map(|(idx, plan)| (*idx, campaigns[app].run_job_cached(plan)))
+                    .collect(),
             },
         },
         &mut |done| match done {
             Done::Planned { app, prepared } => slots[app].start(app, *prepared, on_progress),
-            Done::Ran { app, idx, record } => {
-                slots[app].complete(app, idx, record, on_progress);
+            Done::Ran { app, records } => {
+                for (idx, record) in records {
+                    slots[app].complete(app, idx, record, on_progress);
+                }
                 Vec::new()
             }
         },
@@ -132,7 +143,7 @@ struct Slot {
     /// The prepared campaign: its report header, jobs and schedule.
     prepared: Option<Prepared>,
     records: Vec<Option<FaultRecord>>,
-    /// Jobs on the queue (or running) whose results are still due.
+    /// Pending runs (queued or running) whose records are still due.
     outstanding: usize,
     report: Option<CampaignReport>,
 }
@@ -140,7 +151,8 @@ struct Slot {
 impl Slot {
     /// Takes the campaign's finished schedule: replays its statically
     /// pruned and cache-resolved jobs (with their aliases), then returns
-    /// every pending execution, in plan order, for the queue.
+    /// every pending execution, in plan order and [`RUNS_PER_JOB`] to a
+    /// job, for the queue.
     fn start(&mut self, app: usize, prepared: Prepared, on_progress: &mut dyn FnMut(usize, Progress<'_>)) -> Vec<Job> {
         let Prepared { jobs, schedule, .. } = &prepared;
         self.records = (0..jobs.len()).map(|_| None).collect();
@@ -162,14 +174,13 @@ impl Slot {
         }
         let next: Vec<Job> = schedule
             .pending
-            .iter()
-            .map(|&idx| Job::Inject {
+            .chunks(RUNS_PER_JOB)
+            .map(|chunk| Job::Inject {
                 app,
-                idx,
-                plan: jobs[idx].clone(),
+                runs: chunk.iter().map(|&idx| (idx, jobs[idx].clone())).collect(),
             })
             .collect();
-        self.outstanding = next.len();
+        self.outstanding = schedule.pending.len();
         self.prepared = Some(prepared);
         if self.outstanding == 0 {
             self.finish(app, on_progress);
